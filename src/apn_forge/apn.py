@@ -78,12 +78,6 @@ class Ddt:
             rows.append(np.bincount(F.lut[idx ^ a] ^ F.lut, minlength=ctx.order))
         self.table = np.stack(rows)
 
-    def max_entry(self):
-        return int(self.table[1:].max())
-
-    def row(self, a):
-        return self.table[a]
-
 
 def _mk_witness(F: VBF, a, extra_x):
     """Witness from one extra kernel element of the derivative at a."""
@@ -146,16 +140,11 @@ def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
         bad = np.nonzero(ranks != ctx.n - 1)[0]
         if bad.size:
             a = start + int(bad[0])
-            rows = _transpose_cols(list(map(int, W[a])), ctx.n)
+            rows = f2.transpose(list(map(int, W[a])), ctx.n)
             kern = f2.span(f2.nullspace(rows, ctx.n))
             extra = next(x for x in kern if x not in (0, a))
             return ApnVerdict(False, _mk_witness(F, a, extra), "quadratic")
     return ApnVerdict(True, None, "quadratic")
-
-
-def _transpose_cols(cols, n):
-    """Bit matrix rows from a list of column values."""
-    return [sum(((cols[j] >> i) & 1) << j for j in range(len(cols))) for i in range(n)]
 
 
 def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
@@ -177,7 +166,7 @@ def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
         if bad.size:
             i = start + int(bad[0])
             a = int(a_all[i])
-            rows = _transpose_cols(list(map(int, cols[int(bad[0])])), n)
+            rows = f2.transpose(list(map(int, cols[int(bad[0])])), n)
             kern = f2.span(f2.nullspace(rows, n))
             z = next(x for x in kern if x not in (0, 1))
             F = form.realize()
@@ -189,7 +178,7 @@ def _lemma1_witness(form: Form1, a, y):
     """Turn a violating (a, y) pair into a differential witness."""
     ctx = form.ctx
     # solve x^2 + x = y, then rescale by a
-    rows = _transpose_cols([ctx.pow(1 << j, 2) ^ (1 << j) for j in range(ctx.n)], ctx.n)
+    rows = f2.transpose([ctx.pow(1 << j, 2) ^ (1 << j) for j in range(ctx.n)], ctx.n)
     sol = f2.solve(rows, y, ctx.n)
     assert sol is not None, "trace-zero y must be reachable as x^2+x"
     x0 = sol[0]
@@ -261,7 +250,7 @@ def is_apn_tcondition(form: Form1) -> ApnVerdict:
             y = int(ys[yi])
             c = ctx.mul(w, int(y3[yi]))
             cols = [int(l2[ctx.mul(c, 1 << j)]) for j in range(n)]
-            sol = f2.solve(_transpose_cols(cols, n), int(rhs[yi]), n)
+            sol = f2.solve(f2.transpose(cols, n), int(rhs[yi]), n)
             if sol is None:
                 continue
             t0, kern = sol
@@ -427,16 +416,6 @@ def build_eq3(L: LinearizedPoly, a, b) -> VBF:
 # -- named constructions -------------------------------------------------------
 
 
-def _rel_trace_table(ctx, m, arg):
-    out = arg.copy()
-    t = arg
-    step = ctx.pow_table(1 << m)
-    for _ in range(ctx.n // m - 1):
-        t = step[t]
-        out = out ^ t
-    return out
-
-
 def family(kind, ctx, a=1) -> VBF:
     """Named constructions built from trace terms added to x^3.
 
@@ -464,7 +443,7 @@ def family(kind, ctx, a=1) -> VBF:
             arg = ctx.mulcv(ctx.pow(a, 3), ctx.pow_table(9)) ^ ctx.mulcv(
                 ctx.pow(a, 6), ctx.pow_table(18)
             )
-        rt = _rel_trace_table(ctx, 3, arg)
+        rt = ctx.rel_tracev(3, arg)
         return VBF(ctx, p3 ^ ctx.mulcv(ctx.inv(a), rt))
     if kind in ("half_trace_1", "half_trace_2"):
         if ctx.n % 2:
@@ -472,7 +451,7 @@ def family(kind, ctx, a=1) -> VBF:
         m = ctx.n // 2
         if m % 2:
             raise BadDimension("needs n = 2m with m even")
-        rt = _rel_trace_table(ctx, m, ctx.pow_table((1 << m) + 2))
+        rt = ctx.rel_tracev(m, ctx.pow_table((1 << m) + 2))
         if kind == "half_trace_2":
             rt = p3[rt]
         return VBF(ctx, p3 ^ rt)

@@ -82,17 +82,20 @@ def gamma_rank(F: VBF, allow_large=False):
     return _incidence_rank(graph, 2 * n)
 
 
+def _difference_set(F: VBF):
+    """Points (a << n) | b of {(a, b) : a != 0, DDT[a][b] > 0}, ascending."""
+    n = F.ctx.n
+    idx = np.arange(F.ctx.order)
+    pts = []
+    for a in range(1, F.ctx.order):
+        pts.extend((a << n) | int(b) for b in np.unique(F.lut[idx ^ a] ^ F.lut))
+    return pts
+
+
 def delta_rank(F: VBF, allow_large=False):
     """Like gamma_rank but over the difference set {(a,b) : a != 0, DDT[a][b] > 0}."""
     _check_rank_dim(F.ctx, allow_large)
-    ctx = F.ctx
-    n = ctx.n
-    idx = np.arange(ctx.order)
-    pts = []
-    for a in range(1, ctx.order):
-        bs = np.unique(F.lut[idx ^ a] ^ F.lut)
-        pts.extend(((a << n) | int(b)) for b in bs)
-    return _incidence_rank(pts, 2 * n)
+    return _incidence_rank(_difference_set(F), 2 * F.ctx.n)
 
 
 def _f3_rank(A):
@@ -137,12 +140,7 @@ def gamma3_rank(F: VBF):
     plane = 1 << (2 * n)
     graph = np.zeros(plane, dtype=bool)
     graph[(np.arange(ctx.order) << n) | F.lut] = True
-    idx = np.arange(ctx.order)
-    pts = []
-    for a in range(1, ctx.order):
-        for b in np.unique(F.lut[idx ^ a] ^ F.lut):
-            pts.append((a << n) | int(b))
-    D = np.array(pts)
+    D = np.array(_difference_set(F))
     M = graph[D[:, None] ^ np.arange(plane)[None, :]]
     return _f3_rank(M)
 

@@ -69,6 +69,14 @@ class JobTooLarge(ApnForgeError):
     pass
 
 
+class InvalidJob(ApnForgeError):
+    pass
+
+
+class InternalCheckFailed(ApnForgeError):
+    """A result failed its re-verification by an independent route."""
+
+
 class ParseError(ApnForgeError):
     """Raised by the univariate expression parser; carries a position."""
 

@@ -114,27 +114,13 @@ class _Parser:
             self.expect(")")
             if m == 1:
                 return ctx.trace_table()[inner].astype(np.int64)
-            return _rel_trace_vec(ctx, m, inner)
+            return ctx.rel_tracev(m, inner)
         if tok is not None and re.fullmatch(r"0x[0-9a-fA-F]+|\d+", tok):
             v = int(tok, 0)
             if not 0 <= v < order:
                 raise ParseError(f"constant 0x{v:x} outside the field", pos)
             return np.full(order, v, dtype=np.int64)
         raise ParseError(f"unexpected token {tok!r}", pos)
-
-
-def _rel_trace_vec(ctx, m, arr):
-    from .errors import NotADivisor
-
-    if m <= 0 or ctx.n % m:
-        raise NotADivisor(f"Tr^{m} needs {m} | {ctx.n}")
-    out = arr.copy()
-    t = arr
-    step = ctx.pow_table(1 << m)
-    for _ in range(ctx.n // m - 1):
-        t = step[t]
-        out = out ^ t
-    return out
 
 
 def parse_univariate(ctx, text) -> VBF:

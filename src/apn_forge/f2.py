@@ -102,6 +102,11 @@ def span(basis):
     return sorted(out)
 
 
+def transpose(cols, nrows):
+    """Packed rows of the bit matrix whose column j is the packed value cols[j]."""
+    return [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(nrows)]
+
+
 def batch_rank(mat, ncols):
     """Ranks of a batch of bit matrices.
 

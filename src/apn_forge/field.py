@@ -133,9 +133,6 @@ class FieldCtx:
         N = self.mult_order
         return int(self.antilog_table[(N - int(self.log_table[a])) % N])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         """a**e with exponents taken mod 2^n-1 for nonzero a; pow(0,0) == 1."""
         if a == 0:
@@ -146,9 +143,6 @@ class FieldCtx:
             return 0
         N = self.mult_order
         return int(self.antilog_table[(int(self.log_table[a]) * e) % N])
-
-    def sqr(self, a):
-        return self.pow(a, 2)
 
     def alpha_pow(self, e):
         return int(self.antilog_table[e % self.mult_order])
@@ -210,6 +204,18 @@ class FieldCtx:
         """Elementwise inverse of a nonzero element array."""
         N = self.mult_order
         return self.antilog_table[(N - self.log_table[arr]) % N]
+
+    def rel_tracev(self, m, arr):
+        """Elementwise trace onto the subfield GF(2^m); requires m | n."""
+        if m <= 0 or self.n % m:
+            raise NotADivisor(f"{m} does not divide {self.n}")
+        out = arr.copy()
+        t = arr
+        step = self.pow_table(1 << m)
+        for _ in range(self.n // m - 1):
+            t = step[t]
+            out = out ^ t
+        return out
 
     def pow_table(self, d):
         """LUT of x -> x^d over the whole field (cached)."""
@@ -298,12 +304,16 @@ def parse_field_spec(spec):
     for p in parts:
         key, _, val = p.partition("=")
         key = key.strip().lower()
-        if key == "n":
-            n = int(val)
-        elif key == "mod":
-            modulus = int(val, 16)
-        else:
+        if key not in ("n", "mod"):
             raise UnsupportedDegree(f"unknown field spec key {key!r} in {spec!r}")
+        try:
+            value = int(val, 16 if key == "mod" else 10)
+        except ValueError:
+            raise UnsupportedDegree(f"bad value {val!r} for {key!r} in {spec!r}") from None
+        if key == "n":
+            n = value
+        else:
+            modulus = value
     if n is None:
         raise UnsupportedDegree(f"field spec {spec!r} lacks n=<int>")
     return mk_field(n, modulus)

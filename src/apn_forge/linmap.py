@@ -24,9 +24,6 @@ class F2Matrix:
     def rank(self):
         return f2.rank(self.bits)
 
-    def kernel_basis(self):
-        return f2.nullspace(self.bits, self.cols)
-
     def apply(self, x):
         y = 0
         for i, row in enumerate(self.bits):
@@ -67,16 +64,11 @@ class LinearizedPoly:
             self._lut = out
         return self._lut
 
-    def eval_vec(self, xs):
-        return self.lut()[xs]
-
     # -- structure ----------------------------------------------------------
 
     def to_matrix(self):
         n = self.ctx.n
-        cols = [self.eval(1 << j) for j in range(n)]
-        bits = [sum(((cols[j] >> i) & 1) << j for j in range(n)) for i in range(n)]
-        return F2Matrix(n, n, bits)
+        return F2Matrix(n, n, f2.transpose([self.eval(1 << j) for j in range(n)], n))
 
     def kernel(self):
         basis = f2.nullspace(self.to_matrix().bits, self.ctx.n)

@@ -17,12 +17,21 @@ from typing import Optional
 import numpy as np
 
 from . import apn, catalog, equiv, f2, linmap, spectral
-from .errors import JobTooLarge
+from .errors import InternalCheckFailed, InvalidJob, JobTooLarge
 from .field import mk_field, parse_field_spec
 from .linmap import LinearizedPoly
 from .vbf import Form1
 
 EXHAUSTIVE_LIMIT = 1 << 26
+
+# Hits are profiled only up to this many: each profile takes the full Walsh and
+# differential spectra of a hit and of its ortho-derivative, and a bucket count
+# says little over thousands of hits (the 20160 at n = 4 are one class).
+PROFILE_HIT_LIMIT = 2048
+
+# GF(3) escalation runs only up to this many functions: one translate rank
+# eliminates a dense |D| x 4^n matrix, about 0.75 s at n = 5 and more at n = 6.
+ESCALATE_LIMIT = 64
 
 SHAPES = ("x9_plus_L_binary", "x9_plus_L_full", "form1_binary", "form1_random")
 
@@ -42,6 +51,8 @@ def _mix64(z):
 
 def rng_values(seed, indices, count, order):
     """count field elements per candidate index; stable in (seed, index)."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidJob(f"seed must be an integer in [0, 2^64), got {seed!r}")
     idx = np.asarray(indices, dtype=np.uint64)
     stream = _mix64(np.uint64(seed) + idx * _GOLDEN)[:, None]
     ks = (np.arange(count, dtype=np.uint64) + np.uint64(1))[None, :]
@@ -62,10 +73,22 @@ class SearchJob:
     record: str = "hits"  # "hits" | "all"
 
     def __post_init__(self):
+        if not isinstance(self.field, str):
+            raise InvalidJob(f"field must be a spec string such as 'n=6', got {self.field!r}")
         if self.shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if self.shape == "form1_random" and not self.sample_count:
-            raise ValueError("form1_random requires sample_count")
+            raise InvalidJob(f"unknown shape {self.shape!r}")
+        if self.record not in ("hits", "all"):
+            raise InvalidJob(f"record must be 'hits' or 'all', got {self.record!r}")
+        if self.sample_count is not None and not _int_at_least(self.sample_count, 1):
+            raise InvalidJob(f"sample_count must be at least 1, got {self.sample_count!r}")
+        if self.shape == "form1_random" and self.sample_count is None:
+            raise InvalidJob("form1_random requires sample_count")
+        if not (_int_at_least(self.seed, 0) and self.seed < 1 << 64):
+            raise InvalidJob(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        if not _int_at_least(self.cursor, 0):
+            raise InvalidJob(f"cursor must be a non-negative integer, got {self.cursor!r}")
+        if self.cursor and self.cursor > (total := self.total_candidates()):
+            raise InvalidJob(f"cursor {self.cursor} is past the job's {total} candidates")
 
     def ctx(self):
         return parse_field_spec(self.field)
@@ -93,7 +116,15 @@ class SearchJob:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        # A non-object, an unknown key or a missing one makes the call a TypeError.
+        try:
+            return cls(**json.loads(text))
+        except (TypeError, json.JSONDecodeError) as e:
+            raise InvalidJob(f"bad job: {e}") from None
+
+
+def _int_at_least(value, low):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _decode(job: SearchJob, ctx, index):
@@ -132,20 +163,17 @@ def classify_candidate(job: SearchJob, ctx, form: Form1):
     return "fail"
 
 
-def _coeff_hex(L: LinearizedPoly):
-    return [format(c, "x") for c in L.coeffs]
-
-
-def _record_line(job: SearchJob, ctx, index, verdict, profile_dict):
-    rec = {"shape": job.shape, "n": ctx.n}
-    form = _decode(job, ctx, index)
+def _coeff_text(job: SearchJob, form: Form1):
+    """Hex coefficients, "L" or "L1;L2": the summary's form of a candidate."""
     if job.shape.startswith("x9"):
-        rec["L"] = _coeff_hex(form.L1)
-    else:
-        rec["L1"] = _coeff_hex(form.L1)
-        rec["L2"] = _coeff_hex(form.L2)
-    rec["verdict"] = verdict
-    rec["profile"] = profile_dict
+        return form.L1.to_text()
+    return form.L1.to_text() + ";" + form.L2.to_text()
+
+
+def _record_line(job: SearchJob, ctx, coeff_text, verdict, profile_dict):
+    keys = ("L",) if job.shape.startswith("x9") else ("L1", "L2")
+    rec = dict(zip(keys, (part.split(",") for part in coeff_text.split(";"))))
+    rec.update(shape=job.shape, n=ctx.n, verdict=verdict, profile=profile_dict)
     return json.dumps(rec, sort_keys=True)
 
 
@@ -180,15 +208,7 @@ class SearchSummary:
     seconds: float
 
     def as_dict(self):
-        return {
-            "job": asdict(self.job),
-            "total": self.total,
-            "verdicts": self.verdicts,
-            "hits": self.hits,
-            "bucket_count": self.bucket_count,
-            "unresolved": self.unresolved,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
     def text(self):
         lines = [
@@ -206,22 +226,9 @@ class SearchSummary:
         return "\n".join(lines)
 
 
-def run(job: SearchJob, out_path=None, workers=1, profile_hits=True, escalate_limit=64):
-    """Execute a search job; returns a SearchSummary.
-
-    Records (sorted JSON lines) go to out_path when given.  Worker count
-    never changes the output: ranges are merged in index order and lines
-    sorted before writing.  Hits are bucketed by invariant profile when
-    there are at most `profile_hits` of them (True means 2048); buckets
-    left unresolved at n <= 6 escalate to the GF(3) translate rank when the
-    hit count is within `escalate_limit`.  Bucket counts are inequivalence
-    lower bounds: members sharing a profile are never declared equivalent.
-    """
-    t0 = time.time()
-    ctx = job.ctx()
-    total = job.total_candidates()
-    indices = range(job.cursor, total)
-    chunk = max(256, min(1 << 14, (len(indices) // max(workers, 1)) + 1))
+def _scan(job: SearchJob, total, workers):
+    """(index, verdict) for every candidate from the cursor on, in index order."""
+    chunk = max(256, min(1 << 14, ((total - job.cursor) // max(workers, 1)) + 1))
     ranges = [
         (lo, min(lo + chunk, total)) for lo in range(job.cursor, total, chunk)
     ]
@@ -235,39 +242,67 @@ def run(job: SearchJob, out_path=None, workers=1, profile_hits=True, escalate_li
         _init_worker(job.to_json())
         for r in ranges:
             results.extend(_run_range(r))
+    return results
+
+
+def classify_functions(funcs):
+    """Bucket realized quadratic functions by invariant profile.
+
+    If a bucket is unresolved at n <= 6 and there are at most ESCALATE_LIMIT
+    functions, the GF(3) translate rank joins the same profiles and they are
+    partitioned again.  Bucket counts are inequivalence lower bounds.
+    Returns (buckets, profiles, escalated).
+    """
+    profiles = [equiv.profile(F, assume_quadratic=True) for F in funcs]
+    buckets = equiv.partition(funcs, profiles=profiles)
+    unresolved = any(b["unresolved"] for b in buckets)
+    escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
+    if escalated:
+        for F, p in zip(funcs, profiles):
+            p.gamma3_rank = equiv.gamma3_rank(F)
+        buckets = equiv.partition(funcs, profiles=profiles)
+    return buckets, profiles, escalated
+
+
+def run(job: SearchJob, out_path=None, workers=1):
+    """Execute a search job; returns a SearchSummary.
+
+    Scan, re-verify the hits (naive oracle at n <= 8, quadratic kernel test
+    above; InternalCheckFailed on a refuted hit), classify up to
+    PROFILE_HIT_LIMIT hits at n <= 10, write the records (sorted JSON lines)
+    to out_path when given.  Each hit is decoded once; only its coefficient
+    text, which the summary lists anyway, is kept.  Worker count never
+    changes the output: ranges are merged in index order and lines sorted.
+    """
+    t0 = time.time()
+    ctx = job.ctx()
+    total = job.total_candidates()
+    results = _scan(job, total, workers)
 
     verdict_counts = {}
-    hits = []
-    for i, verdict in results:
+    for _, verdict in results:
         verdict_counts[verdict] = verdict_counts.get(verdict, 0) + 1
-        if verdict == "apn":
-            hits.append(i)
 
-    # APN hits re-verify under the reference oracle at moderate sizes.
-    for i in hits:
+    profiling = 0 < verdict_counts.get("apn", 0) <= PROFILE_HIT_LIMIT and ctx.n <= 10
+    hits = {}
+    funcs = []
+    for i, verdict in results:
+        if verdict != "apn":
+            continue
         form = _decode(job, ctx, i)
-        if ctx.n <= 8:
-            assert apn.is_apn_naive(form.realize()).is_apn, f"hit {i} failed re-verification"
-        else:
-            assert apn.is_apn_quadratic(form).is_apn
+        F = form.realize() if ctx.n <= 8 or profiling else None
+        check = apn.is_apn_naive(F) if ctx.n <= 8 else apn.is_apn_quadratic(form)
+        if not check.is_apn:
+            raise InternalCheckFailed(f"hit {i} failed re-verification")
+        hits[i] = _coeff_text(job, form)
+        if profiling:
+            funcs.append(F)
 
     bucket_count = None
     unresolved = False
     hit_profiles = {}
-    limit = 2048 if profile_hits is True else int(profile_hits)
-    if limit and hits and len(hits) <= limit and ctx.n <= 10:
-        funcs = [_decode(job, ctx, i).realize() for i in hits]
-        profiles = [equiv.profile(F, assume_quadratic=True) for F in funcs]
-        buckets = equiv.partition(funcs, profiles=profiles)
-        if (
-            any(b["unresolved"] for b in buckets)
-            and ctx.n <= 6
-            and len(hits) <= escalate_limit
-        ):
-            profiles = [
-                equiv.profile(F, assume_quadratic=True, with_gamma3=True) for F in funcs
-            ]
-            buckets = equiv.partition(funcs, profiles=profiles)
+    if profiling:
+        buckets, profiles, _ = classify_functions(funcs)
         bucket_count = len(buckets)
         unresolved = any(b["unresolved"] for b in buckets)
         hit_profiles = {i: p.as_dict() for i, p in zip(hits, profiles)}
@@ -275,25 +310,21 @@ def run(job: SearchJob, out_path=None, workers=1, profile_hits=True, escalate_li
     if out_path:
         lines = []
         for i, verdict in results:
-            if job.record == "all" or verdict == "apn":
-                lines.append(_record_line(job, ctx, i, verdict, hit_profiles.get(i)))
+            if i in hits:
+                lines.append(_record_line(job, ctx, hits[i], verdict, hit_profiles.get(i)))
+            elif job.record == "all":
+                text = _coeff_text(job, _decode(job, ctx, i))
+                lines.append(_record_line(job, ctx, text, verdict, None))
         lines.sort()
         with open(out_path, "w") as fh:
             for line in lines:
                 fh.write(line + "\n")
 
-    hit_texts = []
-    for i in hits:
-        form = _decode(job, ctx, i)
-        if job.shape.startswith("x9"):
-            hit_texts.append(form.L1.to_text())
-        else:
-            hit_texts.append(form.L1.to_text() + ";" + form.L2.to_text())
     return SearchSummary(
         job=job,
         total=total - job.cursor,
         verdicts=verdict_counts,
-        hits=hit_texts,
+        hits=list(hits.values()),
         bucket_count=bucket_count,
         unresolved=unresolved,
         seconds=time.time() - t0,
@@ -428,17 +459,13 @@ def reproduce_table3(ns=None, n9_samples=1_000_000, seed=0, workers=1):
             form = catalog.x9_rep(n, i)
             F = form.realize()
             v = apn.is_apn_quadratic(form)
-            if n <= 8:
-                assert apn.is_apn_naive(F).is_apn == v.is_apn
+            if n <= 8 and apn.is_apn_naive(F).is_apn != v.is_apn:
+                raise InternalCheckFailed(
+                    f"representative {i} at n={n}: quadratic and naive APN tests disagree"
+                )
             verdicts.append(v.is_apn)
             funcs.append(F)
-        profiles = [equiv.profile(F) for F in funcs]
-        buckets = equiv.partition(funcs, profiles=profiles)
-        escalated = False
-        if any(b["unresolved"] for b in buckets) and n <= 6:
-            escalated = True
-            profiles = [equiv.profile(F, with_gamma3=True) for F in funcs]
-            buckets = equiv.partition(funcs, profiles=profiles)
+        buckets, _, escalated = classify_functions(funcs)
         entry["all_apn"] = all(verdicts)
         entry["buckets"] = len(buckets)
         entry["unresolved"] = any(b["unresolved"] for b in buckets)

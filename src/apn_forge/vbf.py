@@ -9,7 +9,22 @@ bit-packed ints.
 import numpy as np
 
 from .errors import ContextMismatch, ZeroDirection
-from .linmap import LinearizedPoly
+
+
+def _anf_degree(table, n):
+    """Algebraic degree of a value table by the Moebius transform.
+
+    The transform only XORs entries, so on n-bit values it transforms every
+    coordinate function at once and yields the largest of their degrees.
+    """
+    anf = np.array(table)
+    for i in range(n):
+        halves = anf.reshape(-1, 2, 1 << i)
+        halves[:, 1] ^= halves[:, 0]
+    on = np.flatnonzero(anf)
+    if on.size == 0:
+        return 0
+    return int(sum((on >> i) & 1 for i in range(n)).max())
 
 
 class BooleanFunction:
@@ -50,15 +65,7 @@ class BooleanFunction:
 
     def algebraic_degree(self):
         """Degree of the multivariate normal form (Moebius transform)."""
-        anf = self.to_array().copy()
-        for i in range(self.n):
-            step = 1 << i
-            sel = (np.arange(1 << self.n) & step) != 0
-            anf[sel] ^= anf[np.arange(1 << self.n)[sel] ^ step]
-        on = np.nonzero(anf)[0]
-        if on.size == 0:
-            return 0
-        return max(int(m).bit_count() for m in on)
+        return _anf_degree(self.to_array(), self.n)
 
     def __xor__(self, other):
         return BooleanFunction(self.n, self.bits ^ other.bits)
@@ -92,9 +99,6 @@ class UnivariatePoly:
         for j, d in self.coeffs.items():
             acc ^= self.ctx.mul(d, self.ctx.pow(x, j))
         return acc
-
-    def to_vbf(self):
-        return from_univariate(self)
 
     def to_text(self):
         if not self.coeffs:
@@ -134,6 +138,7 @@ class VBF:
         self.lut = lut.copy()
         self.lut.setflags(write=False)
         self._uni = None
+        self._degree = None
 
     def __call__(self, x):
         return int(self.lut[x])
@@ -176,11 +181,10 @@ class VBF:
         return self._uni
 
     def algebraic_degree(self):
-        """Max binary weight over exponents with nonzero coefficient (0 for the zero map)."""
-        coeffs = self.to_univariate().coeffs
-        if not coeffs:
-            return 0
-        return max(j.bit_count() for j in coeffs)
+        """Max binary weight over exponents with nonzero coefficient (0 for constants)."""
+        if self._degree is None:
+            self._degree = _anf_degree(self.lut, self.ctx.n)
+        return self._degree
 
     def __repr__(self):
         return f"VBF(n={self.ctx.n})"
@@ -204,10 +208,6 @@ class Form1:
 
     def __repr__(self):
         return f"Form1(L1={self.L1.to_text()}, L2={self.L2.to_text()})"
-
-
-def realize(form):
-    return form.realize()
 
 
 def gram_elements(F: VBF):
@@ -236,10 +236,6 @@ def deriv_basis_table(F: VBF):
 def power_map(ctx, d):
     """The monomial x^d as a VBF."""
     return VBF(ctx, ctx.pow_table(d))
-
-
-def linear_vbf(L: LinearizedPoly):
-    return VBF(L.ctx, L.lut())
 
 
 def from_univariate(p: UnivariatePoly):
@@ -279,10 +275,6 @@ def _interpolate(F: VBF):
     if dN:
         coeffs[N] = dN
     return UnivariatePoly(ctx, coeffs)
-
-
-def to_univariate(F: VBF):
-    return F.to_univariate()
 
 
 def save_lut(F: VBF, path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apn_forge import apn, linmap
+from apn_forge import apn, f2, linmap
 from apn_forge.errors import (
     BadDimension,
     DimensionTooSmall,
@@ -144,7 +144,7 @@ def test_quick_reject_beta(ctx6):
     assert apn.quick_reject_beta(Form1(linmap.identity(ctx6), linmap.identity(ctx6))) is None
     # build L1 annihilating one subfield-8 trace-zero element
     beta = apn._subfield8_trace_zero(ctx6)[0]
-    rows = apn._transpose_cols(
+    rows = f2.transpose(
         [ctx6.pow(1 << j, 2) ^ ctx6.mul(beta, 1 << j) for j in range(6)], 6
     )
     # L1(x) = x^2 + c x with c = beta gives L1(beta * (0? ...)); simpler: kernel by construction

@@ -112,6 +112,54 @@ def test_search_job_file(tmp_path, capsys):
     assert code == 0
 
 
+def assert_usage_error(capsys, *argv, match):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error:") and match in err
+
+
+def test_search_rejects_seed_out_of_range(capsys):
+    assert_usage_error(
+        capsys, "search", "--shape", "form1-random", "--n", "6", "--samples", "10",
+        "--seed", "-1", match="seed",
+    )
+    assert_usage_error(capsys, "search", "--n", "5", "--seed", str(1 << 64), match="seed")
+    assert_usage_error(capsys, "reproduce", "conjecture", "--seed", "-1", match="seed")
+
+
+def test_search_rejects_cursor_out_of_range(capsys):
+    assert_usage_error(
+        capsys, "search", "--shape", "form1-random", "--n", "6", "--samples", "10",
+        "--seed", "3", "--cursor", "20", match="cursor",
+    )
+    assert_usage_error(capsys, "search", "--n", "5", "--cursor", "-3", match="cursor")
+    code, out, _ = run_cli(capsys, "search", "--n", "4", "--cursor", "16")
+    assert code == 0 and "candidates=0" in out  # a finished job's cursor is valid
+
+
+def test_search_rejects_sample_count_below_one(capsys):
+    assert_usage_error(
+        capsys, "search", "--shape", "form1-random", "--n", "6", "--samples", "-5",
+        match="sample_count",
+    )
+
+
+def test_search_job_file_unknown_key(tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps({"field": "n=4", "shape": "x9_plus_L_binary", "bogus": 1}))
+    assert_usage_error(capsys, "search", "--job", str(job_path), match="bogus")
+
+
+def test_search_job_file_unknown_shape(tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps({"field": "n=4", "shape": "nope"}))
+    assert_usage_error(capsys, "search", "--job", str(job_path), match="shape")
+
+
+def test_field_spec_bad_value(capsys):
+    assert_usage_error(capsys, "test", "-f", "n=abc", "-u", "x^3", match="n=abc")
+
+
 def test_reproduce_cli(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "dims-scan", "--max-n", "10")
     assert code == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from apn_forge import apn, catalog, equiv, linmap
+from apn_forge import apn, catalog, equiv, linmap, search
 from apn_forge.errors import DimensionTooLarge, NotQuadraticApn
 from apn_forge.field import mk_field
 from apn_forge.vbf import VBF, Form1, power_map
@@ -117,11 +117,7 @@ def test_partition_duplicates_and_apn_consistency(ctx6):
 def test_partition_table_counts_small():
     for n in (4, 5, 6, 7):
         funcs = [catalog.x9_rep(n, i).realize() for i in range(len(catalog.X9L_REPRESENTATIVES[n]))]
-        profiles = [equiv.profile(F) for F in funcs]
-        buckets = equiv.partition(funcs, profiles=profiles)
-        if any(b["unresolved"] for b in buckets):
-            profiles = [equiv.profile(F, with_gamma3=True) for F in funcs]
-            buckets = equiv.partition(funcs, profiles=profiles)
+        buckets, _, _ = search.classify_functions(funcs)
         assert len(buckets) == catalog.EXPECTED_CLASS_COUNTS[n]
         assert not any(b["unresolved"] for b in buckets)
 

@@ -124,6 +124,8 @@ def test_rel_trace_subfield_membership(ctx6):
     for x in range(ctx6.order):
         y = ctx6.rel_trace(3, x)
         assert ctx6.pow(y, 8) == y
+    xs = np.arange(ctx6.order, dtype=np.int64)
+    assert ctx6.rel_tracev(3, xs).tolist() == [ctx6.rel_trace(3, x) for x in range(ctx6.order)]
 
 
 def test_rel_trace_transitivity():
@@ -142,6 +144,8 @@ def test_rel_trace_transitivity():
 def test_rel_trace_divisor_check(ctx6):
     with pytest.raises(NotADivisor):
         ctx6.rel_trace(4, 1)
+    with pytest.raises(NotADivisor):
+        ctx6.rel_tracev(4, np.arange(ctx6.order))
 
 
 def test_cube_predicates(ctx4, ctx5):

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from apn_forge import apn, linmap, search, spectral
+from apn_forge import apn, equiv, linmap, search, spectral
 from apn_forge.errors import JobTooLarge
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
@@ -45,13 +48,24 @@ def test_job_roundtrip_and_validation():
         SearchJob(field="n=6", shape="x9_plus_L_full").total_candidates()
 
 
-def test_binary_scan_n5_classes():
+def test_binary_scan_n5_classes(monkeypatch):
+    calls = {"profile": 0, "gamma3_rank": 0}
+    for name in calls:
+        original = getattr(equiv, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(equiv, name, counted)
     s = search.run(SearchJob(field="n=5", shape="x9_plus_L_binary"))
     assert len(s.hits) == 15
     assert "0,0,0,0,0" in s.hits and "1,1,1,1,1" in s.hits
     # two inequivalence classes among the hits; buckets hold several members
     # of one class each, so they stay (honestly) unresolved
     assert s.bucket_count == 2
+    # one profile per hit; the GF(3) escalation adds its rank to those profiles
+    assert calls == {"profile": 15, "gamma3_rank": 15}
 
 
 def test_binary_scan_n6_empty():
@@ -81,9 +95,9 @@ def test_filters_change_only_counts(ctx6):
 
 
 def test_full_exhaustive_n4_single_class():
-    # the full coefficient space at n=4 has thousands of hits; classify
-    # without per-hit profiling, then bucket a sample of the hits
-    s = search.run(SearchJob(field="n=4", shape="x9_plus_L_full"), profile_hits=False)
+    # the full coefficient space at n=4 has more hits than are profiled;
+    # bucket a sample of them instead
+    s = search.run(SearchJob(field="n=4", shape="x9_plus_L_full"))
     assert len(s.hits) > 1000
     assert s.bucket_count is None
     from apn_forge import equiv
@@ -105,12 +119,15 @@ def test_determinism_across_runs_and_workers(tmp_path):
     search.run(job, out_path=p2, workers=1)
     search.run(job, out_path=p3, workers=3)
     assert file_hash(p1) == file_hash(p2) == file_hash(p3)
+    # the bytes are pinned across versions too, not only across runs
+    assert file_hash(p1) == "42f2da6be68253ed271f8d91b4d01e14b2df7543779179a24be9959330372508"
 
 
 def test_record_format(tmp_path):
     job = SearchJob(field="n=4", shape="form1_binary", record="all")
     path = tmp_path / "records.jsonl"
     search.run(job, out_path=path)
+    assert file_hash(path) == "765328f266ec709ba8d2c656892862accd0efdb3821c327ed9869b0371480941"
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 256
     recs = [json.loads(line) for line in lines]
@@ -148,6 +165,30 @@ def test_resume_cursor(tmp_path):
     tail_lines = (tmp_path / "tail.jsonl").read_text().splitlines()
     assert len(tail_lines) == 6
     assert set(tail_lines) <= full_lines
+
+
+_REFUTE_UNDER_O = """
+import pytest
+from apn_forge import apn, search
+from apn_forge.errors import InternalCheckFailed
+
+assert not __debug__
+apn.is_apn_naive = lambda F: apn.ApnVerdict(False, None, "patched")
+with pytest.raises(InternalCheckFailed, match="re-verification"):
+    search.run(search.SearchJob(field="n=4", shape="x9_plus_L_binary"))
+with pytest.raises(InternalCheckFailed, match="disagree"):
+    search.reproduce_table3(ns=[4])
+"""
+
+
+def test_reverification_survives_optimize():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REFUTE_UNDER_O], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sampled_mode_zero_hits_n9():

@@ -95,13 +95,20 @@ def test_univariate_evaluation_matches(ctx6, rng):
         assert p.evaluate(x) == F(x)
 
 
-def test_algebraic_degree_examples(ctx5):
+def test_algebraic_degree_examples(ctx5, rng):
     assert power_map(ctx5, 3).algebraic_degree() == 2
     ctx4 = mk_field(4)
     affine = VBF(ctx4, ctx4.pow_table(2) ^ 7)
     assert affine.algebraic_degree() == 1
     # inverse exponent at n = 2t+1 = 5 has degree n-1
     assert power_map(ctx5, 2 ** 4 - 1).algebraic_degree() == 4
+    # random tables: the Moebius degree equals the interpolated one
+    for n in (3, 4, 5, 6):
+        ctx = mk_field(n)
+        for _ in range(5):
+            F = VBF(ctx, [rng.randrange(ctx.order) for _ in range(ctx.order)])
+            weights = [j.bit_count() for j in F.to_univariate().coeffs]
+            assert F.algebraic_degree() == max(weights, default=0)
 
 
 def test_derivative_of_cube(ctx6):
