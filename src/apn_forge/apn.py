@@ -21,6 +21,7 @@ from . import f2
 from .errors import (
     BadDimension,
     DimensionTooSmall,
+    InternalCheckFailed,
     NonBinaryCoefficients,
     NotQuadratic,
     OddDimension,
@@ -28,7 +29,7 @@ from .errors import (
     ZeroA,
 )
 from .linmap import LinearizedPoly
-from .vbf import VBF, BooleanFunction, Form1, deriv_basis_table
+from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks, deriv_basis_table
 
 _CHUNK = 4096
 
@@ -71,37 +72,32 @@ class Ddt:
     """Differential distribution table: table[a][b] = #{x : F(x+a)+F(x) = b}."""
 
     def __init__(self, F: VBF):
-        ctx = F.ctx
-        idx = np.arange(ctx.order)
-        rows = [np.bincount(np.full(ctx.order, 0), minlength=ctx.order)]
-        for a in range(1, ctx.order):
-            rows.append(np.bincount(F.lut[idx ^ a] ^ F.lut, minlength=ctx.order))
-        self.table = np.stack(rows)
+        row0 = np.eye(1, F.ctx.order, dtype=np.int64) * F.ctx.order
+        self.table = np.concatenate([row0] + [C for _, C in ddt_row_blocks(F)])
+
+
+def _checked(F: VBF, w: Witness):
+    if not w.verifies(F):
+        raise InternalCheckFailed(f"witness at a={w.a}, b={w.b} failed re-verification")
+    return w
 
 
 def _mk_witness(F: VBF, a, extra_x):
     """Witness from one extra kernel element of the derivative at a."""
     b = F(a) ^ F(0)
     xs = tuple(sorted({0, a, extra_x, extra_x ^ a}))
-    w = Witness(a=a, b=b, xs=xs)
-    assert w.verifies(F), "internal witness failed re-verification"
-    return w
+    return _checked(F, Witness(a=a, b=b, xs=xs))
 
 
 def is_apn_naive(F: VBF) -> ApnVerdict:
-    """Row-by-row differential count with early abort; the reference oracle."""
-    ctx = F.ctx
-    idx = np.arange(ctx.order)
-    for a in range(1, ctx.order):
-        vals = F.lut[idx ^ a] ^ F.lut
-        counts = np.bincount(vals, minlength=ctx.order)
-        m = int(counts.max())
-        if m > 2:
-            b = int(np.argmax(counts))
-            xs = tuple(int(x) for x in np.nonzero(vals == b)[0])
-            w = Witness(a=a, b=b, xs=xs)
-            assert w.verifies(F)
-            return ApnVerdict(False, w, "naive")
+    """Blocked differential count with early abort; the reference oracle."""
+    for a0, C in ddt_row_blocks(F):
+        bad = np.nonzero(C.max(axis=1) > 2)[0]
+        if bad.size:
+            a = a0 + int(bad[0])
+            b = int(np.argmax(C[bad[0]]))
+            xs = tuple(int(x) for x in np.nonzero(F.derivative(a).lut == b)[0])
+            return ApnVerdict(False, _checked(F, Witness(a=a, b=b, xs=xs)), "naive")
     return ApnVerdict(True, None, "naive")
 
 
@@ -122,6 +118,12 @@ def _sq_shift_points(ctx):
     return u2, u8
 
 
+def _kernel_extra(cols, known):
+    """Least kernel element, other than 0 and known, of the map with packed columns cols."""
+    rows = f2.transpose(cols.tolist(), len(cols))
+    return next(x for x in f2.span(f2.nullspace(rows, len(cols))) if x not in (0, known))
+
+
 def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
     """Kernel test of the linearized derivative; accepts a VBF or a Form1.
 
@@ -140,10 +142,7 @@ def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
         bad = np.nonzero(ranks != ctx.n - 1)[0]
         if bad.size:
             a = start + int(bad[0])
-            rows = f2.transpose(list(map(int, W[a])), ctx.n)
-            kern = f2.span(f2.nullspace(rows, ctx.n))
-            extra = next(x for x in kern if x not in (0, a))
-            return ApnVerdict(False, _mk_witness(F, a, extra), "quadratic")
+            return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(W[a], a)), "quadratic")
     return ApnVerdict(True, None, "quadratic")
 
 
@@ -164,13 +163,9 @@ def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
         ranks = f2.batch_rank(cols, n)
         bad = np.nonzero(ranks != n - 1)[0]
         if bad.size:
-            i = start + int(bad[0])
-            a = int(a_all[i])
-            rows = f2.transpose(list(map(int, cols[int(bad[0])])), n)
-            kern = f2.span(f2.nullspace(rows, n))
-            z = next(x for x in kern if x not in (0, 1))
-            F = form.realize()
-            return ApnVerdict(False, _mk_witness(F, a, ctx.mul(a, z)), "quadratic")
+            a = int(a_all[start + int(bad[0])])
+            z = _kernel_extra(cols[int(bad[0])], 1)
+            return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
     return ApnVerdict(True, None, "quadratic")
 
 
@@ -180,7 +175,8 @@ def _lemma1_witness(form: Form1, a, y):
     # solve x^2 + x = y, then rescale by a
     rows = f2.transpose([ctx.pow(1 << j, 2) ^ (1 << j) for j in range(ctx.n)], ctx.n)
     sol = f2.solve(rows, y, ctx.n)
-    assert sol is not None, "trace-zero y must be reachable as x^2+x"
+    if sol is None:
+        raise InternalCheckFailed(f"trace-zero y={y} is not of the form x^2+x")
     x0 = sol[0]
     F = form.realize()
     return _mk_witness(F, a, ctx.mul(a, x0))
@@ -306,7 +302,8 @@ def _subfield8_trace_zero(ctx):
     p2, p4 = ctx.pow_table(2), ctx.pow_table(4)
     xs = np.arange(1, ctx.order, dtype=np.int64)
     sel = xs[(p4[xs] ^ p2[xs] ^ xs) == 0]
-    assert len(sel) == 3
+    if len(sel) != 3:
+        raise InternalCheckFailed(f"y^4+y^2+y has {len(sel)} nonzero roots, not 3")
     return [int(b) for b in sel]
 
 
@@ -499,16 +496,11 @@ def check_boolean_addition(F: VBF, f: BooleanFunction) -> bool:
         raise PreconditionViolated("both inputs must be quadratic")
     if not is_apn_quadratic(F).is_apn:
         raise PreconditionViolated("base function must be APN")
-    farr = f.to_array().astype(np.int64)
+    luts = np.stack([F.lut, f.to_array().astype(np.int64)])
+    rows, bits = bilinear_table(luts, np.arange(ctx.order))
+    rhs = (bits << np.arange(ctx.n)).sum(axis=1)
     for a in range(1, ctx.order):
-        rows = []
-        rhs = 0
-        for j in range(ctx.n):
-            e = 1 << j
-            rows.append(int(F.lut[e ^ a]) ^ int(F.lut[e]) ^ int(F.lut[a]) ^ int(F.lut[0]))
-            bit = int(farr[e ^ a]) ^ int(farr[e]) ^ int(farr[a]) ^ int(farr[0])
-            rhs |= bit << j
-        rows.append(1)  # force l_a(1) = 0
-        if f2.solve(rows, rhs, ctx.n) is None:
+        # the last row forces l_a(1) = 0
+        if f2.solve(rows[a].tolist() + [1], int(rhs[a]), ctx.n) is None:
             return False
     return True

@@ -16,7 +16,7 @@ import numpy as np
 from . import f2
 from .errors import DimensionTooLarge, NotQuadratic, NotQuadraticApn
 from .spectral import fwht
-from .vbf import VBF, deriv_basis_table
+from .vbf import VBF, ddt_row_blocks, deriv_basis_table
 from .linmap import LinearizedPoly
 
 
@@ -37,34 +37,24 @@ def extended_walsh(F: VBF):
 
 def diff_spectrum(F: VBF):
     """Multiset of differential counts over all a != 0 and all b."""
-    ctx = F.ctx
-    idx = np.arange(ctx.order)
-    acc = np.zeros(ctx.order + 1, dtype=np.int64)
-    for a in range(1, ctx.order):
-        counts = np.bincount(F.lut[idx ^ a] ^ F.lut, minlength=ctx.order)
-        acc += np.bincount(counts, minlength=ctx.order + 1)
+    acc = np.zeros(F.ctx.order + 1, dtype=np.int64)
+    for _, C in ddt_row_blocks(F):
+        acc += np.bincount(C.ravel(), minlength=F.ctx.order + 1)
     return tuple((int(v), int(c)) for v, c in enumerate(acc) if c)
 
 
 def _incidence_rank(points, n2):
     """Rank of the 2^n2 x 2^n2 incidence matrix M[x][y] = [y in x + points]."""
-    size = 1 << n2
     pts = [int(p) for p in points]
-    basis = {}
-    rk = 0
-    for x in range(size):
-        row = 0
-        for g in pts:
-            row |= 1 << (x ^ g)
-        while row:
-            p = row.bit_length() - 1
-            b = basis.get(p)
-            if b is None:
-                basis[p] = row
-                rk += 1
-                break
-            row ^= b
-    return rk
+
+    def rows():
+        for x in range(1 << n2):
+            row = 0
+            for g in pts:
+                row |= 1 << (x ^ g)
+            yield row
+
+    return f2.rank(rows())
 
 
 def _check_rank_dim(ctx, allow_large):
@@ -84,12 +74,11 @@ def gamma_rank(F: VBF, allow_large=False):
 
 def _difference_set(F: VBF):
     """Points (a << n) | b of {(a, b) : a != 0, DDT[a][b] > 0}, ascending."""
-    n = F.ctx.n
-    idx = np.arange(F.ctx.order)
-    pts = []
-    for a in range(1, F.ctx.order):
-        pts.extend((a << n) | int(b) for b in np.unique(F.lut[idx ^ a] ^ F.lut))
-    return pts
+    parts = []
+    for a0, C in ddt_row_blocks(F):
+        rows, bs = np.nonzero(C)
+        parts.append(((a0 + rows) << F.ctx.n) | bs)
+    return np.concatenate(parts)
 
 
 def delta_rank(F: VBF, allow_large=False):
@@ -140,7 +129,7 @@ def gamma3_rank(F: VBF):
     plane = 1 << (2 * n)
     graph = np.zeros(plane, dtype=bool)
     graph[(np.arange(ctx.order) << n) | F.lut] = True
-    D = np.array(_difference_set(F))
+    D = _difference_set(F)
     M = graph[D[:, None] ^ np.arange(plane)[None, :]]
     return _f3_rank(M)
 
@@ -153,9 +142,7 @@ def ortho_derivative(F: VBF, assume_quadratic=False) -> VBF:
         raise NotQuadraticApn("requires F(0) = 0")
     if not assume_quadratic and F.algebraic_degree() > 2:
         raise NotQuadratic("requires a quadratic function")
-    T = ctx.trace_masks()
-    W = deriv_basis_table(F)
-    masks = T[W]
+    masks = ctx.trace_masks()[deriv_basis_table(F)]
     out = np.zeros(ctx.order, dtype=np.int64)
     for a in range(1, ctx.order):
         ns = f2.nullspace([int(m) for m in masks[a]], ctx.n)

@@ -73,6 +73,10 @@ class InvalidJob(ApnForgeError):
     pass
 
 
+class BadLut(ApnForgeError):
+    """A lookup table of the wrong length, or with an entry that is not a field element."""
+
+
 class InternalCheckFailed(ApnForgeError):
     """A result failed its re-verification by an independent route."""
 

@@ -9,35 +9,39 @@ operate on numpy arrays of packed rows.
 import numpy as np
 
 
+def _semi_echelon(rows):
+    """Row basis as {pivot_bit: row}, each row's leading bit its pivot."""
+    basis = {}
+    for r in rows:
+        r = int(r)
+        while r:
+            p = r.bit_length() - 1
+            b = basis.get(p)
+            if b is None:
+                basis[p] = r
+                break
+            r ^= b
+    return basis
+
+
 def reduce_rows(rows):
     """Fully reduced row basis as {pivot_bit: row}; its size is the rank.
 
     Every basis row has zeros at all other pivot positions, so free-variable
     reads off the basis are direct.
     """
-    basis = {}
-    for r in rows:
-        r = int(r)
-        while r:
-            p = r.bit_length() - 1
-            if p not in basis:
-                break
-            r ^= basis[p]
-        if not r:
-            continue
-        p = r.bit_length() - 1
-        for q in list(basis):
-            if (r >> q) & 1:
-                r ^= basis[q]
-        for q in basis:
-            if (basis[q] >> p) & 1:
-                basis[q] ^= r
-        basis[p] = r
+    basis = _semi_echelon(rows)
+    pivots = sorted(basis)
+    for i, p in enumerate(pivots):
+        for q in pivots[:i]:  # rows with lower pivots are already reduced
+            if (basis[p] >> q) & 1:
+                basis[p] ^= basis[q]
     return basis
 
 
 def rank(rows):
-    return len(reduce_rows(rows))
+    """Rank of packed rows: the semi-echelon basis, without back-substitution."""
+    return len(_semi_echelon(rows))
 
 
 def nullspace(rows, ncols):

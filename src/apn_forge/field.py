@@ -13,6 +13,7 @@ import numpy as np
 from .conway import default_modulus, is_irreducible_poly, poly_mulmod, prime_factors
 from .errors import (
     DivisionByZero,
+    InternalCheckFailed,
     NotADivisor,
     ReducibleModulus,
     UnsupportedDegree,
@@ -163,7 +164,8 @@ class FieldCtx:
         for _ in range(self.n // m):
             acc ^= t
             t = self.pow(t, 1 << m)
-        assert self.pow(acc, 1 << m) == acc, "relative trace left the subfield"
+        if self.pow(acc, 1 << m) != acc:
+            raise InternalCheckFailed("relative trace left the subfield")
         return acc
 
     def is_cube(self, x):

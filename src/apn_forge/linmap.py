@@ -10,7 +10,7 @@ import random
 import numpy as np
 
 from . import f2
-from .errors import ContextMismatch
+from .errors import ContextMismatch, InternalCheckFailed
 
 
 class F2Matrix:
@@ -89,14 +89,12 @@ class LinearizedPoly:
         n = ctx.n
         coeffs = [ctx.pow(self.coeffs[(n - i) % n], 1 << i) for i in range(n)]
         adj = LinearizedPoly(ctx, coeffs)
-        if __debug__:
-            rng = random.Random(0xAD101)
-            for _ in range(4):
-                x = rng.randrange(ctx.order)
-                y = rng.randrange(ctx.order)
-                assert ctx.trace(ctx.mul(self.eval(x), y)) == ctx.trace(
-                    ctx.mul(x, adj.eval(y))
-                )
+        rng = random.Random(0xAD101)
+        for _ in range(4):
+            x = rng.randrange(ctx.order)
+            y = rng.randrange(ctx.order)
+            if ctx.trace(ctx.mul(self.eval(x), y)) != ctx.trace(ctx.mul(x, adj.eval(y))):
+                raise InternalCheckFailed(f"adjoint fails Tr(L(x)y) = Tr(x L*(y)) at x={x}, y={y}")
         return adj
 
     def compose(self, other):

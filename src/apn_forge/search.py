@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import apn, catalog, equiv, f2, linmap, spectral
+from . import apn, catalog, equiv, linmap, spectral
 from .errors import InternalCheckFailed, InvalidJob, JobTooLarge
 from .field import mk_field, parse_field_spec
 from .linmap import LinearizedPoly
-from .vbf import Form1
+from .vbf import Form1, bilinear_table
 
 EXHAUSTIVE_LIMIT = 1 << 26
 
@@ -83,6 +83,8 @@ class SearchJob:
             raise InvalidJob(f"sample_count must be at least 1, got {self.sample_count!r}")
         if self.shape == "form1_random" and self.sample_count is None:
             raise InvalidJob("form1_random requires sample_count")
+        if self.shape.endswith("_binary") and self.sample_count is not None:
+            raise InvalidJob(f"{self.shape} is exhaustive; it takes no sample_count")
         if not (_int_at_least(self.seed, 0) and self.seed < 1 << 64):
             raise InvalidJob(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if not _int_at_least(self.cursor, 0):
@@ -350,11 +352,8 @@ def conjecture_batch(ctx, l1_coeffs, l2_coeffs):
     candidate is APN.  bent_counts counts the full-rank component forms
     (dim V_lambda == 0).
     """
-    n = ctx.n
     order = ctx.order
     B = len(l1_coeffs)
-    basis = 1 << np.arange(n, dtype=np.int64)
-    pairs = basis[:, None] ^ basis[None, :]
     p3, p9 = ctx.pow_table(3), ctx.pow_table(9)
 
     luts = np.zeros((B, order), dtype=np.int64)
@@ -363,19 +362,8 @@ def conjecture_batch(ctx, l1_coeffs, l2_coeffs):
         L2 = LinearizedPoly(ctx, l2_coeffs[j])
         luts[j] = L1.lut()[p3] ^ L2.lut()[p9]
 
-    phi = (
-        luts[:, pairs]
-        ^ luts[:, basis][:, :, None]
-        ^ luts[:, basis][:, None, :]
-        ^ luts[:, 0][:, None, None]
-    )  # (B, n, n)
-    lg = ctx.log_table[phi.reshape(B, -1)]
-    lam_log = ctx.log_table[np.arange(1, order, dtype=np.int64)]
-    prods = ctx.antilog_table[lam_log[None, :, None] + lg[:, None, :]]
-    bits = ctx.trace_table()[prods].astype(np.int64).reshape(B, order - 1, n, n)
-    rows = (bits << np.arange(n, dtype=np.int64)[None, None, None, :]).sum(axis=3)
-    ranks = f2.batch_rank(rows.reshape(-1, n), n).reshape(B, order - 1)
-    dims = n - ranks
+    phi = bilinear_table(luts, 1 << np.arange(ctx.n, dtype=np.int64))
+    dims = spectral.radical_dims(ctx, phi)[:, 1:]
     bent = (dims == 0).sum(axis=1)
     apn_flags = ((1 << dims) - 1).sum(axis=1) == order - 1
     return apn_flags, np.asarray(bent), dims

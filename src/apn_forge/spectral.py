@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import f2
-from .errors import NotQuadratic, OddDimension
-from .vbf import VBF, BooleanFunction, Form1, deriv_basis_table, gram_elements
+from .errors import InternalCheckFailed, NotQuadratic, OddDimension
+from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks
+from .vbf import deriv_basis_table, gram_elements
 
 
 class WalshSpectrum:
@@ -77,18 +78,21 @@ def _check_quadratic(F: VBF):
         raise NotQuadratic("operation requires algebraic degree <= 2")
 
 
+def radical_dims(ctx, phi):
+    """dim V_lambda, the radical of Tr(lambda phi), for every lambda: a batch of
+    Gram tables phi of shape (..., n, n) gives shape (..., 2^n), indexed by lambda."""
+    n = ctx.n
+    lead = phi.shape[:-2]
+    lam = np.arange(ctx.order, dtype=np.int64)[:, None]
+    prods = ctx.mulv(lam, phi.reshape(lead + (1, n * n)))
+    bits = ctx.trace_table()[prods].astype(np.int64).reshape(lead + (ctx.order, n, n))
+    rows = (bits << np.arange(n, dtype=np.int64)).sum(axis=-1)
+    return n - f2.batch_rank(rows.reshape(-1, n), n).reshape(lead + (ctx.order,))
+
+
 def _vdims_quadratic(F: VBF):
     """dim V_lambda for every lambda (index = lambda); no degree check."""
-    ctx = F.ctx
-    n = ctx.n
-    phi = gram_elements(F)
-    lg = ctx.log_table[phi.reshape(-1)]
-    lam = np.arange(ctx.order, dtype=np.int64)
-    prods = ctx.antilog_table[ctx.log_table[lam][:, None] + lg[None, :]]
-    bits = ctx.trace_table()[prods].reshape(ctx.order, n, n).astype(np.int64)
-    rows = (bits << np.arange(n, dtype=np.int64)[None, None, :]).sum(axis=2)
-    ranks = f2.batch_rank(rows, n)
-    return n - ranks
+    return radical_dims(F.ctx, gram_elements(F))
 
 
 def v_lambda(F: VBF, lam):
@@ -97,12 +101,9 @@ def v_lambda(F: VBF, lam):
     ctx = F.ctx
     if lam == 0:
         return list(range(ctx.order))
-    phi = gram_elements(F)
-    rows = []
-    for j in range(ctx.n):
-        bits = ctx.trace_table()[ctx.mulcv(lam, phi[j])]
-        rows.append(int((bits.astype(np.int64) << np.arange(ctx.n)).sum()))
-    return f2.span(f2.nullspace(rows, ctx.n))
+    bits = ctx.trace_table()[ctx.mulcv(lam, gram_elements(F))].astype(np.int64)
+    rows = (bits << np.arange(ctx.n)).sum(axis=1)
+    return f2.span(f2.nullspace(rows.tolist(), ctx.n))
 
 
 def delta_a(F: VBF, a):
@@ -111,11 +112,8 @@ def delta_a(F: VBF, a):
     ctx = F.ctx
     if a == 0:
         return list(range(ctx.order))
-    T = ctx.trace_masks()
-    e = 1 << np.arange(ctx.n, dtype=np.int64)
-    w = F.lut[a ^ e] ^ int(F.lut[a]) ^ F.lut[e] ^ int(F.lut[0])
-    rows = [int(T[v]) for v in w]
-    return f2.span(f2.nullspace(rows, ctx.n))
+    rows = ctx.trace_masks()[bilinear_table(F.lut, [a])[0]]
+    return f2.span(f2.nullspace(rows.tolist(), ctx.n))
 
 
 def bent_components(F: VBF):
@@ -168,34 +166,24 @@ def apn_sum_check(F: VBF):
     Every sum is at least 2^(2n+1); equality for all nonzero a is
     equivalent to F being APN.  Returns (is_apn, {a: sum}).
     """
-    ctx = F.ctx
-    order = ctx.order
-    target = 1 << (2 * ctx.n + 1)
-    idx = np.arange(order)
+    target = 1 << (2 * F.ctx.n + 1)
     sums = {}
-    ok = True
-    for a in range(1, order):
-        vals = F.lut[idx ^ a] ^ F.lut
-        counts = np.bincount(vals, minlength=order).astype(np.int64)
-        w = fwht(counts)
-        s = int(np.dot(w, w))
-        assert s >= target, "derivative-sum lower bound violated"
-        sums[a] = s
-        if s != target:
-            ok = False
-    return ok, sums
+    for a0, C in ddt_row_blocks(F):
+        w = fwht(C)
+        s = (w * w).sum(axis=1)
+        if (s < target).any():
+            raise InternalCheckFailed("derivative-sum lower bound violated")
+        sums.update(zip(range(a0, a0 + len(s)), s.tolist()))
+    return all(s == target for s in sums.values()), sums
 
 
 def unique_lambda_check(form: Form1):
     """True iff every nonzero a admits exactly one nonzero lambda making
     D_a f_lambda constant; equivalent to the APN property of the realized map."""
     F = form.realize()
-    ctx = F.ctx
-    T = ctx.trace_masks()
-    W = deriv_basis_table(F)
-    rows = T[W]  # (order, n) packed masks over lambda-bits
-    ranks = f2.batch_rank(rows[1:], ctx.n)
-    return bool(np.all(ranks == ctx.n - 1))
+    n = F.ctx.n
+    rows = F.ctx.trace_masks()[deriv_basis_table(F)[1:]]  # packed masks over lambda-bits
+    return bool(np.all(f2.batch_rank(rows, n) == n - 1))
 
 
 def conjecture_check(f):

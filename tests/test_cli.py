@@ -144,6 +144,32 @@ def test_search_rejects_sample_count_below_one(capsys):
     )
 
 
+def test_search_rejects_sample_count_on_binary_shapes(capsys):
+    # A sampled index would be read as a coefficient mask and wrap.
+    for shape in ("x9-plus-L-binary", "form1-binary"):
+        assert_usage_error(
+            capsys, "search", "--shape", shape, "--n", "4", "--samples", "40",
+            "--format", "json", match="sample_count",
+        )
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("0\n1\nzz\n3\n", ":3: 'zz' is not a hex element of GF(2^2)"),
+        ("0\n1\n2\n", "must have 4 entries"),
+        ("0\n1\n\n4\n3\n", ":4: '4' is not a hex element"),
+        ("0\n1\n-1\n3\n", ":3: '-1' is not a hex element"),
+        ("0\n1\n" + "f" * 40 + "\n3\n", ":3: 'fff"),
+    ],
+)
+def test_malformed_lut_exits_2(tmp_path, capsys, text, match):
+    path = tmp_path / "bad.lut"
+    path.write_text(text)
+    for cmd in ("test", "spectral"):
+        assert_usage_error(capsys, cmd, "-f", "n=2", "--lut", str(path), match=match)
+
+
 def test_search_job_file_unknown_key(tmp_path, capsys):
     job_path = tmp_path / "job.json"
     job_path.write_text(json.dumps({"field": "n=4", "shape": "x9_plus_L_binary", "bogus": 1}))

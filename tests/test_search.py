@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -171,8 +172,15 @@ _REFUTE_UNDER_O = """
 import pytest
 from apn_forge import apn, search
 from apn_forge.errors import InternalCheckFailed
+from apn_forge.field import mk_field
+from apn_forge.vbf import power_map
 
 assert not __debug__
+verifies = apn.Witness.verifies
+apn.Witness.verifies = lambda self, F: False
+with pytest.raises(InternalCheckFailed, match="re-verification"):
+    apn.is_apn_naive(power_map(mk_field(6), 9))
+apn.Witness.verifies = verifies
 apn.is_apn_naive = lambda F: apn.ApnVerdict(False, None, "patched")
 with pytest.raises(InternalCheckFailed, match="re-verification"):
     search.run(search.SearchJob(field="n=4", shape="x9_plus_L_binary"))
@@ -189,6 +197,19 @@ def test_reverification_survives_optimize():
         [sys.executable, "-O", "-c", _REFUTE_UNDER_O], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_assert_statements_in_src():
+    # Checks that guard results must survive python -O.
+    root = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "apn_forge")
+    found = []
+    for dirpath, _, names in os.walk(root):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                tree = ast.parse(open(path).read(), path)
+                found += [f"{path}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
 
 
 def test_sampled_mode_zero_hits_n9():

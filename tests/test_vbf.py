@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apn_forge import linmap
-from apn_forge.errors import ContextMismatch, ZeroDirection
+from apn_forge.errors import BadLut, ContextMismatch, ZeroDirection
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import (
@@ -185,6 +185,12 @@ def test_lut_file_roundtrip(tmp_path, ctx6, rng):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == ctx6.order
     assert load_lut(ctx6, path) == F
+
+
+@pytest.mark.parametrize("lut", [[0, 1, 2], [0, 1, 4, 3], [0, -1, 2, 3], [0, 1, 2**70, 3]])
+def test_vbf_rejects_bad_lut(lut):
+    with pytest.raises(BadLut):
+        VBF(mk_field(2), lut)
 
 
 def test_univariate_text_form(ctx4):
