@@ -13,6 +13,7 @@ table before it is returned.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -101,14 +102,31 @@ def is_apn_naive(F: VBF) -> ApnVerdict:
     return ApnVerdict(True, None, "naive")
 
 
+@cache
 def _coset_reps(ctx):
-    """Arrays (a_values, v_values) with v = a^3 covering all distinct cubes."""
+    """Arrays (a_values, v_values) with v = a^3 covering all distinct cubes (cached: read only)."""
     N = ctx.mult_order
     if ctx.n % 2 == 0:
         js = np.arange(ctx.k, dtype=np.int64)
         return ctx.antilog_table[js], ctx.antilog_table[(3 * js) % N]
     a = np.arange(1, ctx.order, dtype=np.int64)
     return a, ctx.pow_table(3)[a]
+
+
+@cache
+def _trace_zero_points(ctx):
+    """The nonzero trace-zero y, w = y^4+y^2+y, and the logs of y and w (cached: read only)."""
+    ys = ctx.trace_zero_nonzero()
+    ws = ctx.pow_table(4)[ys] ^ ctx.pow_table(2)[ys] ^ ys
+    return ys, ws, ctx.log_table[ys], ctx.log_table[ws]
+
+
+@cache
+def _x2_plus_x_roots(ctx):
+    """R[y] = a root of x^2 + x = y, or -1; roots x and x + 1 give the same witness."""
+    roots = np.full(ctx.order, -1, dtype=np.int64)
+    roots[ctx.pow_table(2) ^ ctx.elements()] = ctx.elements()
+    return roots
 
 
 def _sq_shift_points(ctx):
@@ -173,13 +191,10 @@ def _lemma1_witness(form: Form1, a, y):
     """Turn a violating (a, y) pair into a differential witness."""
     ctx = form.ctx
     # solve x^2 + x = y, then rescale by a
-    rows = f2.transpose([ctx.pow(1 << j, 2) ^ (1 << j) for j in range(ctx.n)], ctx.n)
-    sol = f2.solve(rows, y, ctx.n)
-    if sol is None:
+    x0 = int(_x2_plus_x_roots(ctx)[y])
+    if x0 < 0:
         raise InternalCheckFailed(f"trace-zero y={y} is not of the form x^2+x")
-    x0 = sol[0]
-    F = form.realize()
-    return _mk_witness(F, a, ctx.mul(a, x0))
+    return _mk_witness(form.realize(), a, ctx.mul(a, x0))
 
 
 def is_apn_lemma1(form: Form1) -> ApnVerdict:
@@ -191,13 +206,14 @@ def is_apn_lemma1(form: Form1) -> ApnVerdict:
     ctx = form.ctx
     l1 = form.L1.lut()
     l2 = form.L2.lut()
-    ys = ctx.trace_zero_nonzero()
-    p2, p3, p4 = ctx.pow_table(2), ctx.pow_table(3), ctx.pow_table(4)
-    ws = p4[ys] ^ p2[ys] ^ ys
+    ys, _, log_ys, log_ws = _trace_zero_points(ctx)
+    exp, log = ctx.antilog_table, ctx.log_table
+    p3 = ctx.pow_table(3)
     a_all, v_all = _coset_reps(ctx)
     for i in range(len(v_all)):
         v = int(v_all[i])
-        vals = l1[ctx.mulcv(v, ys)] ^ l2[ctx.mulcv(int(p3[v]), ws)]
+        # v * y as antilog[log v + log y]: mulcv without its gather of log y
+        vals = l1[exp[int(log[v]) + log_ys]] ^ l2[exp[int(log[p3[v]]) + log_ws]]
         z = np.nonzero(vals == 0)[0]
         if z.size:
             a, y = int(a_all[i]), int(ys[int(z[0])])
@@ -217,10 +233,9 @@ def is_apn_tcondition(form: Form1) -> ApnVerdict:
     l1 = form.L1.lut()
     l2 = form.L2.lut()
     tb = ctx.trace_table()
-    ys = ctx.trace_zero_nonzero()
-    p2, p3, p4 = ctx.pow_table(2), ctx.pow_table(3), ctx.pow_table(4)
+    ys, ys4, _, _ = _trace_zero_points(ctx)
+    p3 = ctx.pow_table(3)
     y3 = p3[ys]
-    ys4 = p4[ys] ^ p2[ys] ^ ys
     a_all, v_all = _coset_reps(ctx)
 
     invertible = form.L2.is_permutation()
@@ -285,15 +300,12 @@ def quick_reject_nonzero(form: Form1):
     ctx = form.ctx
     if ctx.n % 2:
         raise OddDimension("nonzero-value filter applies to even n")
-    N = ctx.mult_order
-    js = np.arange(ctx.k, dtype=np.int64)
-    vals = form.L1.lut()[ctx.antilog_table[(3 * js) % N]] ^ form.L2.lut()[
-        ctx.antilog_table[(9 * js) % N]
-    ]
+    a_all, v_all = _coset_reps(ctx)  # a = alpha^j, v = a^3
+    vals = form.L1.lut()[v_all] ^ form.L2.lut()[ctx.pow_table(3)[v_all]]
     z = np.nonzero(vals == 0)[0]
     if z.size:
         j = int(z[0])
-        return RejectWitness("nonzero", {"j": j, "a": int(ctx.antilog_table[j])})
+        return RejectWitness("nonzero", {"j": j, "a": int(a_all[j])})
     return None
 
 

@@ -88,8 +88,8 @@ def delta_rank(F: VBF, allow_large=False):
 
 
 def _f3_rank(A):
-    """Gaussian elimination rank over GF(3) of a dense 0/1/2 matrix."""
-    A = A.astype(np.int8).copy()
+    """Rank over GF(3) of a dense integer matrix, by forward elimination."""
+    A = A.astype(np.int8) % 3
     rows, cols = A.shape
     r = 0
     for c in range(cols):
@@ -99,12 +99,11 @@ def _f3_rank(A):
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
-        if A[r, c] == 2:
-            A[r] = (A[r] * 2) % 3
-        mask = A[:, c] != 0
-        mask[r] = False
-        if mask.any():
-            A[mask] = (A[mask] + (3 - A[mask, c])[:, None] * A[r]) % 3
+        pr = A[r, c:] * A[r, c]  # leads with 1 or 4, both 1 mod 3
+        below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
+        if below.size:
+            sub = A[below, c:]
+            A[below, c:] = (sub + (3 - sub[:, :1]) * pr) % 3
         r += 1
         if r == rows:
             break

@@ -115,21 +115,20 @@ def batch_rank(mat, ncols):
     """Ranks of a batch of bit matrices.
 
     mat has shape (B, nrows); each entry is a packed row of ncols bits.
-    Returns an int64 array of B ranks.
+    Returns an int64 array of B ranks.  A reduced row's leading bit is read
+    off its float exponent, which is exact for ncols <= 53.
     """
-    m = np.asarray(mat, dtype=np.int64)
+    dt = np.min_scalar_type((1 << ncols) - 1).type
+    m = np.asarray(mat).astype(dt)
     B, nrows = m.shape
-    basis = np.zeros((B, ncols), dtype=np.int64)
+    basis = np.zeros((ncols + 1, B), dtype=dt)  # row p is led by bit p; zero rows land in row ncols
     ranks = np.zeros(B, dtype=np.int64)
+    cols = np.arange(B)
     for r in range(nrows):
         cur = m[:, r].copy()
         for p in range(ncols - 1, -1, -1):
-            has = (cur >> p) & 1
-            cur ^= basis[:, p] * has
-        lead = np.full(B, -1, dtype=np.int64)
-        for p in range(ncols):
-            lead[((cur >> p) & 1) == 1] = p
-        ins = lead >= 0
-        basis[np.nonzero(ins)[0], lead[ins]] = cur[ins]
-        ranks += ins
+            cur ^= basis[p] * ((cur >> dt(p)) & dt(1))
+        lead = np.frexp(cur.astype(np.float64))[1] - 1
+        basis[lead, cols] = cur
+        ranks += cur != 0
     return ranks

@@ -6,7 +6,8 @@ built log/antilog tables, so multiplication is two lookups.  Contexts are
 immutable after construction and safe to share across workers.
 """
 
-from functools import lru_cache
+from array import array
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,8 +49,8 @@ class FieldCtx:
         self.k = self.mult_order // 3 if n % 2 == 0 else None
 
         self._build_tables()
-        self._trace_bits = self._expand_linear_bits(
-            [self._trace_slow(1 << j) for j in range(n)]
+        self._trace_bits = self.expand_linear(
+            np.array([self._trace_slow(1 << j) for j in range(n)], dtype=np.uint8)
         )
         self._pow_cache = {}
         self._trace_masks = None
@@ -86,7 +87,9 @@ class FieldCtx:
             exp[i + N] = v
         self.log_table = log
         self.antilog_table = exp
-        self._log_zero = log_zero
+        # compact copies for the scalar operations, whose indexing is cheaper than numpy's
+        self._log = array("q", log.tobytes())
+        self._exp = array("q", exp[: 2 * N].tobytes())
 
     def _find_generator(self):
         N = self.mult_order
@@ -105,16 +108,11 @@ class FieldCtx:
             t = poly_mulmod(t, t, self.modulus, self.n)
         return acc  # 0 or 1 once the sum telescopes
 
-    def _expand_linear_bits(self, basis_bits):
-        """Table of an F2-linear {0,1}-valued map given its basis values."""
-        out = np.zeros(self.order, dtype=np.uint8)
-        size = 1
-        for j, b in enumerate(basis_bits):
-            if b:
-                out[size : 2 * size] = out[:size] ^ 1
-            else:
-                out[size : 2 * size] = out[:size]
-            size <<= 1
+    def expand_linear(self, basis_values):
+        """Value tables of the F2-linear maps sending e_j = 2^j to basis_values[..., j]."""
+        out = np.zeros(basis_values.shape[:-1] + (self.order,), dtype=basis_values.dtype)
+        for j in range(self.n):
+            out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ basis_values[..., j, None]
         return out
 
     # -- scalar operations ------------------------------------------------
@@ -125,14 +123,12 @@ class FieldCtx:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        N = self.mult_order
-        return int(self.antilog_table[(int(self.log_table[a]) + int(self.log_table[b])) % N])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        N = self.mult_order
-        return int(self.antilog_table[(N - int(self.log_table[a])) % N])
+        return self._exp[self.mult_order - self._log[a]]
 
     def pow(self, a, e):
         """a**e with exponents taken mod 2^n-1 for nonzero a; pow(0,0) == 1."""
@@ -142,8 +138,7 @@ class FieldCtx:
             if e < 0:
                 raise DivisionByZero("negative power of 0")
             return 0
-        N = self.mult_order
-        return int(self.antilog_table[(int(self.log_table[a]) * e) % N])
+        return self._exp[(self._log[a] * e) % self.mult_order]
 
     def alpha_pow(self, e):
         return int(self.antilog_table[e % self.mult_order])
@@ -232,6 +227,12 @@ class FieldCtx:
             t.setflags(write=False)
             self._pow_cache[d] = t
         return t
+
+    @cached_property
+    def frobenius_basis(self):
+        """(n, n) table with [i, j] = e_j^(2^i) for the polynomial basis e_j = 2^j."""
+        logs = self.log_table[1 << np.arange(self.n)] << np.arange(self.n)[:, None]
+        return self.antilog_table[logs % self.mult_order]
 
     def trace_table(self):
         return self._trace_bits

@@ -52,23 +52,17 @@ class LinearizedPoly:
         return acc
 
     def lut(self):
-        """Full value table, built once by F2-linear doubling."""
+        """Full value table, built once from the basis images by F2-linear doubling."""
         if self._lut is None:
-            ctx = self.ctx
-            out = np.zeros(ctx.order, dtype=np.int64)
-            size = 1
-            for j in range(ctx.n):
-                out[size : 2 * size] = out[:size] ^ self.eval(1 << j)
-                size <<= 1
-            out.setflags(write=False)
-            self._lut = out
+            self._lut = self.ctx.expand_linear(basis_images(self.ctx, self.coeffs))
+            self._lut.setflags(write=False)
         return self._lut
 
     # -- structure ----------------------------------------------------------
 
     def to_matrix(self):
         n = self.ctx.n
-        return F2Matrix(n, n, f2.transpose([self.eval(1 << j) for j in range(n)], n))
+        return F2Matrix(n, n, f2.transpose(basis_images(self.ctx, self.coeffs).tolist(), n))
 
     def kernel(self):
         basis = f2.nullspace(self.to_matrix().bits, self.ctx.n)
@@ -141,6 +135,12 @@ class LinearizedPoly:
 
     def __repr__(self):
         return f"LinearizedPoly({self.to_text()})"
+
+
+def basis_images(ctx, coeffs):
+    """L(e_j) for e_j = 2^j, for each coefficient row of coeffs (shape (..., n))."""
+    c = np.asarray(coeffs, dtype=np.int64)[..., None]
+    return np.bitwise_xor.reduce(ctx.mulv(c, ctx.frobenius_basis), axis=-2)
 
 
 def zero(ctx):

@@ -352,20 +352,12 @@ def conjecture_batch(ctx, l1_coeffs, l2_coeffs):
     candidate is APN.  bent_counts counts the full-rank component forms
     (dim V_lambda == 0).
     """
-    order = ctx.order
-    B = len(l1_coeffs)
-    p3, p9 = ctx.pow_table(3), ctx.pow_table(9)
-
-    luts = np.zeros((B, order), dtype=np.int64)
-    for j in range(B):
-        L1 = LinearizedPoly(ctx, l1_coeffs[j])
-        L2 = LinearizedPoly(ctx, l2_coeffs[j])
-        luts[j] = L1.lut()[p3] ^ L2.lut()[p9]
-
+    l1, l2 = (ctx.expand_linear(linmap.basis_images(ctx, c)) for c in (l1_coeffs, l2_coeffs))
+    luts = l1[:, ctx.pow_table(3)] ^ l2[:, ctx.pow_table(9)]
     phi = bilinear_table(luts, 1 << np.arange(ctx.n, dtype=np.int64))
     dims = spectral.radical_dims(ctx, phi)[:, 1:]
     bent = (dims == 0).sum(axis=1)
-    apn_flags = ((1 << dims) - 1).sum(axis=1) == order - 1
+    apn_flags = ((1 << dims) - 1).sum(axis=1) == ctx.order - 1
     return apn_flags, np.asarray(bent), dims
 
 

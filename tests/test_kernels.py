@@ -104,6 +104,16 @@ def test_rank_matches_reduced_basis(data):
 
 
 @PROPERTY
+@given(st.data())
+def test_batch_rank_matches_rank(data):
+    width = data.draw(st.integers(1, 32))
+    nrows = data.draw(st.integers(1, 12))
+    mats = data.draw(st.lists(elements(width, nrows), min_size=1, max_size=20))
+    ranks = f2.batch_rank(np.array(mats, dtype=np.int64), width)
+    assert ranks.tolist() == [f2.rank(m) for m in mats]
+
+
+@PROPERTY
 @given(form1s())
 @example(_gold(4))
 @example(_gold(5))
