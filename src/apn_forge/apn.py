@@ -6,9 +6,12 @@ for the L1(x^3)+L2(x^9) family, whose derivative structure depends on the
 direction a only through a^3: on even dimensions those tests walk one
 representative per cube coset, a third of the space.
 
-Every negative verdict carries a materialized witness (a, b, xs) with at
-least four solutions to F(x+a)+F(x)=b, re-verified against the lookup
-table before it is returned.
+Every negative :class:`ApnVerdict` carries a materialized witness
+(a, b, xs) with at least four solutions to F(x+a)+F(x)=b, re-verified
+against the lookup table before it is returned.  Search verdicts carry no
+witness: the batched scans (:func:`form1_rank_scan` and the filter scans)
+take B coefficient rows and return, per row, only the index of the first
+representative that refutes it.
 """
 
 import math
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import f2
+from . import f2, linmap
 from .errors import (
     BadDimension,
     DimensionTooSmall,
@@ -30,9 +33,21 @@ from .errors import (
     ZeroA,
 )
 from .linmap import LinearizedPoly
-from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks, deriv_basis_table
+from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks
 
 _CHUNK = 4096
+
+# Rows per walk slice, and (row, index) pairs per block of a walk.  CPU s per
+# round of the binary x^9 + L(x^3) scan at n = 13 (8192 candidates, best of 5
+# rounds in each of 2 passes, 2 cores): 256: 0.19-0.26, 512: 0.12, 1024:
+# 0.09-0.14, 2048: 0.07, 4096: 0.07 with 3 MB more peak RSS.
+WALK_PAIRS = 2048
+
+# Value-table entries per slice of a batched filter.  CPU s (3 interleaved
+# runs, 2 cores) of the binary scan at n = 14, 3000 form1_random samples at
+# n = 12 and 20000 at n = 8: 2^14: 1.6-2.3, 0.31-0.48, 0.11-0.18; 2^16:
+# 1.3-2.1, 0.14-0.23, 0.09-0.14; 2^18: 1.7-2.0, 0.25-0.32, 0.14-0.19.
+LUT_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -131,9 +146,50 @@ def _x2_plus_x_roots(ctx):
 
 def _sq_shift_points(ctx):
     """u2[j] = e_j^2+e_j and u8[j] = e_j^8+e_j on the polynomial basis."""
-    u2 = [ctx.pow(1 << j, 2) ^ (1 << j) for j in range(ctx.n)]
-    u8 = [ctx.pow(1 << j, 8) ^ (1 << j) for j in range(ctx.n)]
-    return u2, u8
+    e = 1 << np.arange(ctx.n, dtype=np.int64)
+    return ctx.pow_table(2)[e] ^ e, ctx.pow_table(8)[e] ^ e
+
+
+def _form1_cols(ctx, b1, b2, vs):
+    """cols[s, i, j] = L1(v_i u2_j) + L2(v_i^3 u8_j): the linearized derivative of
+    each row pair at a with a^3 = v_i, on the basis, rescaled by a."""
+    u2, u8 = _sq_shift_points(ctx)
+    vs = np.asarray(vs)[:, None]
+    return linmap.apply_images(b1, ctx.mulv(vs, u2)) ^ linmap.apply_images(
+        b2, ctx.mulv(ctx.pow_table(3)[vs], u8)
+    )
+
+
+def form1_rank_scan(ctx, c1, c2):
+    """Per row pair of coefficients, the index into the cube-coset
+    representatives of the first a whose linearized derivative has rank
+    != n - 1, or -1 when there is none: that candidate is APN.
+
+    The batched Form1 rank test; c1 and c2 have shape (B, n).  Rows are
+    taken WALK_PAIRS at a time, and each slice walks the representatives in
+    doubling blocks over its surviving rows only, at most WALK_PAIRS
+    (row, representative) pairs a block.  Most rows fail at one of the first
+    few representatives.
+    """
+    n = ctx.n
+    _, v_all = _coset_reps(ctx)
+    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    first = np.full(len(c1), -1, dtype=np.int64)
+    for lo in range(0, len(c1), WALK_PAIRS):
+        b1 = linmap.basis_images(ctx, c1[lo : lo + WALK_PAIRS])
+        b2 = linmap.basis_images(ctx, c2[lo : lo + WALK_PAIRS])
+        alive = np.arange(len(b1))
+        start, width = 0, 1
+        while alive.size and start < len(v_all):
+            width = min(width, max(1, WALK_PAIRS // alive.size), len(v_all) - start)
+            cols = _form1_cols(ctx, b1[alive], b2[alive], v_all[start : start + width])
+            bad = (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(len(alive), width)
+            hit = bad.any(axis=1)
+            first[lo + alive[hit]] = start + bad[hit].argmax(axis=1)
+            alive = alive[~hit]
+            start += width
+            width *= 2
+    return first
 
 
 def _kernel_extra(cols, known):
@@ -153,38 +209,26 @@ def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
     if not assume_quadratic and F.algebraic_degree() > 2:
         raise NotQuadratic("input has algebraic degree > 2")
     ctx = F.ctx
-    W = deriv_basis_table(F)
     for start in range(1, ctx.order, _CHUNK):
-        block = W[start : start + _CHUNK]
-        ranks = f2.batch_rank(block, ctx.n)
-        bad = np.nonzero(ranks != ctx.n - 1)[0]
+        block = bilinear_table(F.lut, np.arange(start, min(start + _CHUNK, ctx.order)))
+        bad = np.nonzero(f2.batch_rank(block, ctx.n) != ctx.n - 1)[0]
         if bad.size:
             a = start + int(bad[0])
-            return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(W[a], a)), "quadratic")
+            return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(block[bad[0]], a)), "quadratic")
     return ApnVerdict(True, None, "quadratic")
 
 
 def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
     ctx = form.ctx
-    n = ctx.n
-    l1 = form.L1.lut()
-    l2 = form.L2.lut()
-    u2, u8 = _sq_shift_points(ctx)
+    c1, c2 = [form.L1.coeffs], [form.L2.coeffs]
+    first = int(form1_rank_scan(ctx, c1, c2)[0])
+    if first < 0:
+        return ApnVerdict(True, None, "quadratic")
     a_all, v_all = _coset_reps(ctx)
-    p3 = ctx.pow_table(3)
-    for start in range(0, len(v_all), _CHUNK):
-        vs = v_all[start : start + _CHUNK]
-        ws = p3[vs]
-        cols = np.empty((len(vs), n), dtype=np.int64)
-        for j in range(n):
-            cols[:, j] = l1[ctx.mulcv(u2[j], vs)] ^ l2[ctx.mulcv(u8[j], ws)]
-        ranks = f2.batch_rank(cols, n)
-        bad = np.nonzero(ranks != n - 1)[0]
-        if bad.size:
-            a = int(a_all[start + int(bad[0])])
-            z = _kernel_extra(cols[int(bad[0])], 1)
-            return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
-    return ApnVerdict(True, None, "quadratic")
+    b1, b2 = linmap.basis_images(ctx, c1), linmap.basis_images(ctx, c2)
+    z = _kernel_extra(_form1_cols(ctx, b1, b2, v_all[first : first + 1])[0, 0], 1)
+    a = int(a_all[first])
+    return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
 
 
 def _lemma1_witness(form: Form1, a, y):
@@ -282,15 +326,62 @@ def is_apn_tcondition(form: Form1) -> ApnVerdict:
 # -- quick-reject filters ------------------------------------------------------
 
 
+# The batched filters take coefficient rows of shape (B, n) and, like
+# form1_rank_scan, return the first refuting index per row or -1.  A row that
+# passes must be checked at every representative, so they read value tables,
+# built for at most LUT_ENTRIES table entries at a time.
+
+
+def _first_zero(vals):
+    """Per row of vals, the index of its first zero, or -1."""
+    zero = vals == 0
+    j = zero.argmax(axis=1)
+    return np.where(zero[np.arange(len(j)), j], j, -1)
+
+
+def _by_tables(ctx, coeffs, fn):
+    """fn(*tables) over slices of the rows of each coefficient array, concatenated.
+
+    The tables hold int32, which every element of GF(2^20) fits: half the
+    memory traffic of int64 (about 40% less time at n = 14).
+    """
+    images = [linmap.basis_images(ctx, c).astype(np.int32) for c in coeffs]
+    step = max(1, LUT_ENTRIES // ctx.order)
+    out = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(images[0]), step):
+        out.append(fn(*(ctx.expand_linear(b[lo : lo + step]) for b in images)))
+    return np.concatenate(out)
+
+
+def parity_mask(c1, c2):
+    """Rows the parity filter rejects: binary rows whose coefficients sum to an even number."""
+    c = np.concatenate([np.asarray(c1), np.asarray(c2)], axis=1)
+    return (c <= 1).all(axis=1) & (c.sum(axis=1) % 2 == 0)
+
+
+def nonzero_scan(ctx, c1, c2):
+    """First cube-coset index j with F'(a_j) = L1(v_j) + L2(v_j^3) = 0, per row."""
+    _, v_all = _coset_reps(ctx)
+    w_all = ctx.pow_table(3)[v_all]
+    return _by_tables(ctx, (c1, c2), lambda l1, l2: _first_zero(l1[:, v_all] ^ l2[:, w_all]))
+
+
+def beta_scan(ctx, c1):
+    """First t * k + i with L1(beta_t v_i) = 0, per row of L1 coefficients, over
+    the subfield-8 trace-zero beta_t and the cube-coset representatives v_i."""
+    _, v_all = _coset_reps(ctx)
+    pts = ctx.mulv(np.array(_subfield8_trace_zero(ctx))[:, None], v_all).ravel()
+    return _by_tables(ctx, (c1,), lambda l1: _first_zero(l1[:, pts]))
+
+
 def quick_reject_parity(form: Form1):
     """Binary-coefficient shortcut: equal coefficient parities force F(1)=0."""
     ctx = form.ctx
     if ctx.n % 2:
         raise OddDimension("parity filter applies to even n")
-    coeffs = form.L1.coeffs + form.L2.coeffs
-    if any(c > 1 for c in coeffs):
+    if any(c > 1 for c in form.L1.coeffs + form.L2.coeffs):
         raise NonBinaryCoefficients("parity filter needs coefficients in {0,1}")
-    if (sum(form.L1.coeffs) + sum(form.L2.coeffs)) % 2 == 0:
+    if parity_mask([form.L1.coeffs], [form.L2.coeffs])[0]:
         return RejectWitness("parity", {"reason": "L1 and L2 have equal monomial parity"})
     return None
 
@@ -300,12 +391,9 @@ def quick_reject_nonzero(form: Form1):
     ctx = form.ctx
     if ctx.n % 2:
         raise OddDimension("nonzero-value filter applies to even n")
-    a_all, v_all = _coset_reps(ctx)  # a = alpha^j, v = a^3
-    vals = form.L1.lut()[v_all] ^ form.L2.lut()[ctx.pow_table(3)[v_all]]
-    z = np.nonzero(vals == 0)[0]
-    if z.size:
-        j = int(z[0])
-        return RejectWitness("nonzero", {"j": j, "a": int(a_all[j])})
+    j = int(nonzero_scan(ctx, [form.L1.coeffs], [form.L2.coeffs])[0])
+    if j >= 0:
+        return RejectWitness("nonzero", {"j": j, "a": int(_coset_reps(ctx)[0][j])})
     return None
 
 
@@ -324,14 +412,11 @@ def quick_reject_beta(form: Form1):
     ctx = form.ctx
     if ctx.n % 2 or ctx.n % 3:
         raise BadDimension("beta filter needs n even and divisible by 3")
-    a_all, v_all = _coset_reps(ctx)
-    l1 = form.L1.lut()
-    for beta in _subfield8_trace_zero(ctx):
-        vals = l1[ctx.mulcv(beta, v_all)]
-        z = np.nonzero(vals == 0)[0]
-        if z.size:
-            i = int(z[0])
-            return RejectWitness("beta", {"a": int(a_all[i]), "beta": beta})
+    f = int(beta_scan(ctx, [form.L1.coeffs])[0])
+    if f >= 0:
+        a_all, _ = _coset_reps(ctx)
+        t, i = divmod(f, len(a_all))
+        return RejectWitness("beta", {"a": int(a_all[i]), "beta": _subfield8_trace_zero(ctx)[t]})
     return None
 
 

@@ -43,18 +43,32 @@ def diff_spectrum(F: VBF):
     return tuple((int(v), int(c)) for v, c in enumerate(acc) if c)
 
 
+def _incidence_rows(points, n2):
+    """(x, M[x]) for every x < 2^n2 in Gray-code order, M[x] = sum of 2^y over y in x + points.
+
+    Flipping bit k of x sends each y to y + 2^k, which swaps the halves of
+    every 2^(k+1)-bit block of the row: three big-int operations a row.
+    """
+    size = 1 << n2
+    full = (1 << size) - 1
+    # lows[k] holds the bits y with bit k of y clear: 2^k ones, 2^k zeros, repeated
+    lows = [full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) for k in range(n2)]
+    row = 0
+    for g in points:
+        row |= 1 << int(g)
+    x = 0
+    yield x, row
+    for i in range(1, size):
+        k = (i & -i).bit_length() - 1
+        half, low = 1 << k, lows[k]
+        row = ((row & low) << half) | ((row >> half) & low)
+        x ^= half
+        yield x, row
+
+
 def _incidence_rank(points, n2):
     """Rank of the 2^n2 x 2^n2 incidence matrix M[x][y] = [y in x + points]."""
-    pts = [int(p) for p in points]
-
-    def rows():
-        for x in range(1 << n2):
-            row = 0
-            for g in pts:
-                row |= 1 << (x ^ g)
-            yield row
-
-    return f2.rank(rows())
+    return f2.rank(row for _, row in _incidence_rows(points, n2))
 
 
 def _check_rank_dim(ctx, allow_large):

@@ -138,9 +138,29 @@ class LinearizedPoly:
 
 
 def basis_images(ctx, coeffs):
-    """L(e_j) for e_j = 2^j, for each coefficient row of coeffs (shape (..., n))."""
-    c = np.asarray(coeffs, dtype=np.int64)[..., None]
-    return np.bitwise_xor.reduce(ctx.mulv(c, ctx.frobenius_basis), axis=-2)
+    """L(e_j) for e_j = 2^j, for each coefficient row of coeffs (shape (..., n)).
+
+    One pass per coefficient keeps the temporaries at the size of the result.
+    """
+    c = np.asarray(coeffs, dtype=np.int64)
+    out = np.zeros(c.shape, dtype=np.int64)
+    for i in range(ctx.n):
+        out ^= ctx.mulv(c[..., i, None], ctx.frobenius_basis[i])
+    return out
+
+
+def apply_images(images, points):
+    """out[s, ...] = L_s(points) for the maps with L_s(e_j) = images[s, j].
+
+    Each point is split into its bits, so no value table is built: the cost is
+    n passes over an array of len(images) * points.size entries.
+    """
+    points = np.asarray(points)
+    images = images.reshape(images.shape[:1] + (1,) * points.ndim + images.shape[1:])
+    out = np.zeros(images.shape[:1] + points.shape, dtype=np.int64)
+    for j in range(images.shape[-1]):
+        out ^= images[..., j] * ((points >> j) & 1)
+    return out
 
 
 def zero(ctx):

@@ -129,40 +129,49 @@ def _int_at_least(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
+def _coeff_rows(job: SearchJob, ctx, lo, hi):
+    """Coefficient rows (c1, c2), each of shape (hi - lo, n), of candidates lo..hi-1."""
+    n = ctx.n
+    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+    shifts = np.arange(n, dtype=np.int64)
+    if job.shape == "form1_binary":
+        return (idx >> shifts) & 1, (idx >> (n + shifts)) & 1
+    if job.shape == "form1_random":
+        coeffs = rng_values(job.seed, idx[:, 0], 2 * n, ctx.order)
+        return coeffs[:, :n], coeffs[:, n:]
+    if job.shape == "x9_plus_L_binary":
+        c1 = (idx >> shifts) & 1
+    elif job.sample_count is None:
+        c1 = (idx >> (n * shifts)) & (ctx.order - 1)
+    else:
+        c1 = rng_values(job.seed, idx[:, 0], n, ctx.order)
+    return c1, np.broadcast_to(shifts == 0, c1.shape).astype(np.int64)  # L2(x) = x
+
+
 def _decode(job: SearchJob, ctx, index):
     """Candidate index -> Form1."""
-    n = ctx.n
-    if job.shape == "x9_plus_L_binary":
-        L = linmap.from_mask(ctx, index)
-        return Form1(L, linmap.identity(ctx))
-    if job.shape == "x9_plus_L_full":
-        if job.sample_count is None:
-            digits = [(index >> (n * i)) & (ctx.order - 1) for i in range(n)]
-        else:
-            digits = list(rng_values(job.seed, [index], n, ctx.order)[0])
-        return Form1(LinearizedPoly(ctx, digits), linmap.identity(ctx))
-    if job.shape == "form1_binary":
-        return Form1(
-            linmap.from_mask(ctx, index & (ctx.order - 1)),
-            linmap.from_mask(ctx, index >> n),
-        )
-    coeffs = rng_values(job.seed, [index], 2 * n, ctx.order)[0]
-    return Form1(LinearizedPoly(ctx, coeffs[:n]), LinearizedPoly(ctx, coeffs[n:]))
+    c1, c2 = _coeff_rows(job, ctx, index, index + 1)
+    return Form1(LinearizedPoly(ctx, c1[0]), LinearizedPoly(ctx, c2[0]))
 
 
-def classify_candidate(job: SearchJob, ctx, form: Form1):
-    """Run the filter pipeline then the fast test; returns a verdict string."""
-    binary = all(c <= 1 for c in form.L1.coeffs + form.L2.coeffs)
-    if ctx.n % 2 == 0:
-        if job.use_parity and binary and apn.quick_reject_parity(form):
-            return "rejected:parity"
-        if job.use_nonzero and apn.quick_reject_nonzero(form):
-            return "rejected:nonzero"
-        if job.use_beta and ctx.n % 3 == 0 and apn.quick_reject_beta(form):
-            return "rejected:beta"
-    if apn.is_apn_lemma1(form).is_apn:
-        return "apn"
-    return "fail"
+def _classify_rows(job: SearchJob, ctx, c1, c2):
+    """Verdict strings of a batch: the enabled filters in order, each on the
+    rows the earlier ones kept, then the Form1 rank kernel on the survivors."""
+    even = ctx.n % 2 == 0
+    stages = (
+        ("rejected:parity", even and job.use_parity, apn.parity_mask),
+        ("rejected:nonzero", even and job.use_nonzero, lambda a, b: apn.nonzero_scan(ctx, a, b) >= 0),
+        ("rejected:beta", even and job.use_beta and ctx.n % 3 == 0, lambda a, b: apn.beta_scan(ctx, a) >= 0),
+        ("fail", True, lambda a, b: apn.form1_rank_scan(ctx, a, b) >= 0),
+    )
+    verdicts = np.full(len(c1), "apn", dtype=object)
+    alive = np.arange(len(c1))
+    for verdict, enabled, rejects in stages:
+        if enabled and alive.size:
+            out = rejects(c1[alive], c2[alive])
+            verdicts[alive[out]] = verdict
+            alive = alive[~out]
+    return verdicts.tolist()
 
 
 def _coeff_text(job: SearchJob, form: Form1):
@@ -192,11 +201,10 @@ def _init_worker(job_json):
 def _run_range(bounds):
     lo, hi = bounds
     job, ctx = _worker_job, _worker_ctx
-    out = []
-    for i in range(lo, hi):
-        verdict = classify_candidate(job, ctx, _decode(job, ctx, i))
-        out.append((i, verdict))
-    return out
+    verdicts = []
+    for start in range(lo, hi, apn.WALK_PAIRS):  # one walk's rows at a time bounds the memory
+        verdicts += _classify_rows(job, ctx, *_coeff_rows(job, ctx, start, min(start + apn.WALK_PAIRS, hi)))
+    return list(zip(range(lo, hi), verdicts))
 
 
 @dataclass
@@ -269,12 +277,14 @@ def classify_functions(funcs):
 def run(job: SearchJob, out_path=None, workers=1):
     """Execute a search job; returns a SearchSummary.
 
-    Scan, re-verify the hits (naive oracle at n <= 8, quadratic kernel test
-    above; InternalCheckFailed on a refuted hit), classify up to
-    PROFILE_HIT_LIMIT hits at n <= 10, write the records (sorted JSON lines)
-    to out_path when given.  Each hit is decoded once; only its coefficient
-    text, which the summary lists anyway, is kept.  Worker count never
-    changes the output: ranges are merged in index order and lines sorted.
+    Scan in batches (filters, then the Form1 rank kernel; no witnesses),
+    re-verify the hits on their realized tables (naive oracle at n <= 8, the
+    quadratic test over every a above; InternalCheckFailed on a refuted hit),
+    classify up to PROFILE_HIT_LIMIT hits at n <= 10, write the records
+    (sorted JSON lines) to out_path when given.  Each hit is decoded once;
+    only its coefficient text, which the summary lists anyway, is kept.
+    Worker count never changes the output: ranges are merged in index order
+    and lines sorted.
     """
     t0 = time.time()
     ctx = job.ctx()
@@ -292,8 +302,8 @@ def run(job: SearchJob, out_path=None, workers=1):
         if verdict != "apn":
             continue
         form = _decode(job, ctx, i)
-        F = form.realize() if ctx.n <= 8 or profiling else None
-        check = apn.is_apn_naive(F) if ctx.n <= 8 else apn.is_apn_quadratic(form)
+        F = form.realize()
+        check = apn.is_apn_naive(F) if ctx.n <= 8 else apn.is_apn_quadratic(F, assume_quadratic=True)
         if not check.is_apn:
             raise InternalCheckFailed(f"hit {i} failed re-verification")
         hits[i] = _coeff_text(job, form)

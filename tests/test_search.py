@@ -140,6 +140,17 @@ def test_record_format(tmp_path):
     assert all(r["profile"] is not None for r in apn_recs)
 
 
+def test_even_n_filter_pins(tmp_path):
+    # 3 | 6 and 3 | 12, so the parity, nonzero and beta filters all run
+    job = SearchJob(field="n=6", shape="form1_random", sample_count=2000, seed=1, record="all")
+    path = tmp_path / "records.jsonl"
+    search.run(job, out_path=path)
+    assert file_hash(path) == "9ca58e27f0f1741c3d73856b8df5fb8f7288a940eb9dea3eab8b7855e3d0234a"
+    s = search.run(SearchJob(field="n=12", shape="form1_random", sample_count=3000, seed=1))
+    assert s.verdicts == {"fail": 1554, "rejected:beta": 619, "rejected:nonzero": 827}
+    assert not s.hits
+
+
 def test_record_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     import importlib.resources as res
