@@ -101,27 +101,79 @@ def delta_rank(F: VBF, allow_large=False):
     return _incidence_rank(_difference_set(F), 2 * F.ctx.n)
 
 
-def _f3_rank(A):
-    """Rank over GF(3) of a dense integer matrix, by forward elimination."""
-    A = A.astype(np.int8) % 3
-    rows, cols = A.shape
+def _f3_words(bits):
+    """Pack a 2-D bool array into rows of uint64 words, column j at bit j % 64 of word j // 64."""
+    rows, cols = bits.shape
+    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _f3_add(P, N, rows, w, wp, wn):
+    """Add the GF(3) vector with planes (wp, wn) to the given rows of (P, N), from word w on.
+
+    Entries are bit-sliced: P marks the entries equal to 1 and N those equal
+    to 2.  With x = (xp, xn), x + 1 = (~(xp | xn), xp) and x + 2 = (xn, ~(xp | xn)),
+    and xp | xn = xp ^ xn, so over every column at once
+    sum_p = (xp & ~wn) ^ (xn & (wp | wn)) ^ wp and
+    sum_n = (xp & (wp | wn)) ^ (xn & ~wp) ^ wn.
+    """
+    nonzero = wp | wn
+    xp, xn = P[rows, w:], N[rows, w:]
+    sp = xp & ~wn
+    t = xn & nonzero
+    sp ^= t
+    sp ^= wp
+    xp &= nonzero
+    xn &= ~wp
+    xn ^= xp
+    xn ^= wn
+    P[rows, w:] = sp
+    N[rows, w:] = xn
+
+
+def _f3_eliminate(P, N):
+    """GF(3) rank of the bit-sliced matrix with planes (P, N), by forward elimination in place.
+
+    Columns are taken in order, one word of 64 at a time: the lowest set bit
+    of the OR over the live rows is the next pivot column, so empty columns
+    cost nothing.  A row whose entry there equals the pivot's subtracts the
+    pivot row, any other nonzero row adds it; only the words from the
+    pivot's word on change.
+    """
+    rows, words = P.shape
     r = 0
-    for c in range(cols):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        pr = A[r, c:] * A[r, c]  # leads with 1 or 4, both 1 mod 3
-        below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
-        if below.size:
-            sub = A[below, c:]
-            A[below, c:] = (sub + (3 - sub[:, :1]) * pr) % 3
-        r += 1
-        if r == rows:
-            break
+    for w in range(words):
+        while r < rows:
+            cn = N[r:, w]
+            live = P[r:, w] | cn
+            occ = int(np.bitwise_or.reduce(live))
+            if occ == 0:
+                break
+            bit = np.uint64(occ & -occ)
+            hit = np.flatnonzero(live & bit)
+            twos = (cn[hit] & bit) != 0
+            piv = r + hit[0]
+            if piv != r:
+                P[[r, piv], w:] = P[[piv, r], w:]
+                N[[r, piv], w:] = N[[piv, r], w:]
+            if hit.size > 1:
+                same = twos[1:] == twos[0]
+                below = r + hit[1:]
+                pp, pn = P[r, w:], N[r, w:]
+                k = np.count_nonzero(same)
+                if k:
+                    _f3_add(P, N, below[same], w, pn, pp)
+                if k < same.size:
+                    _f3_add(P, N, below[~same], w, pp, pn)
+            r += 1
     return r
+
+
+def _f3_rank(A):
+    """Rank over GF(3) of a dense integer matrix, by bit-sliced forward elimination."""
+    A = np.asarray(A) % 3
+    return _f3_eliminate(_f3_words(A == 1), _f3_words(A == 2))
 
 
 def gamma3_rank(F: VBF):
@@ -139,12 +191,12 @@ def gamma3_rank(F: VBF):
     if ctx.n > 6:
         raise DimensionTooLarge("gamma3_rank is supported for n <= 6")
     n = ctx.n
-    plane = 1 << (2 * n)
-    graph = np.zeros(plane, dtype=bool)
-    graph[(np.arange(ctx.order) << n) | F.lut] = True
-    D = _difference_set(F)
-    M = graph[D[:, None] ^ np.arange(plane)[None, :]]
-    return _f3_rank(M)
+    graph = (np.arange(ctx.order) << n) | F.lut
+    D = set(_difference_set(F).tolist())
+    width = 8 * -(-(1 << (2 * n)) // 64)
+    rows = b"".join(row.to_bytes(width, "little") for x, row in _incidence_rows(graph, 2 * n) if x in D)
+    P = np.frombuffer(rows, dtype="<u8").reshape(-1, width // 8).copy()
+    return _f3_eliminate(P, np.zeros_like(P))
 
 
 def ortho_derivative(F: VBF, assume_quadratic=False) -> VBF:

@@ -30,7 +30,8 @@ EXHAUSTIVE_LIMIT = 1 << 26
 PROFILE_HIT_LIMIT = 2048
 
 # GF(3) escalation runs only up to this many functions: one translate rank
-# eliminates a dense |D| x 4^n matrix, about 0.75 s at n = 5 and more at n = 6.
+# eliminates a dense |D| x 4^n matrix, about 0.03 s at n = 5 and 0.85-1.2 s at
+# n = 6 (bit-sliced, one CPU core of a 2-core x86-64 machine).
 ESCALATE_LIMIT = 64
 
 SHAPES = ("x9_plus_L_binary", "x9_plus_L_full", "form1_binary", "form1_random")
@@ -259,8 +260,9 @@ def classify_functions(funcs):
     """Bucket realized quadratic functions by invariant profile.
 
     If a bucket is unresolved at n <= 6 and there are at most ESCALATE_LIMIT
-    functions, the GF(3) translate rank joins the same profiles and they are
-    partitioned again.  Bucket counts are inequivalence lower bounds.
+    functions, the GF(3) translate rank, computed once per distinct lookup
+    table, joins the same profiles and they are partitioned again.  Bucket
+    counts are inequivalence lower bounds.
     Returns (buckets, profiles, escalated).
     """
     profiles = [equiv.profile(F, assume_quadratic=True) for F in funcs]
@@ -268,8 +270,12 @@ def classify_functions(funcs):
     unresolved = any(b["unresolved"] for b in buckets)
     escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
     if escalated:
+        ranks = {}
         for F, p in zip(funcs, profiles):
-            p.gamma3_rank = equiv.gamma3_rank(F)
+            key = F.lut.tobytes()
+            if key not in ranks:
+                ranks[key] = equiv.gamma3_rank(F)
+            p.gamma3_rank = ranks[key]
         buckets = equiv.partition(funcs, profiles=profiles)
     return buckets, profiles, escalated
 

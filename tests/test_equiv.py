@@ -72,6 +72,14 @@ def test_gamma3_separates_n5_classes(ctx5):
     assert equiv.gamma3_rank(equiv.random_ea_transform(F2, rng)) == 465
 
 
+def test_gamma3_rank_n6_pin(ctx6):
+    # index 10 is the first APN hit of the n = 6 form1_random job with seed 1
+    job = search.SearchJob(field="n=6", shape="form1_random", sample_count=2000, seed=1)
+    form = search._decode(job, ctx6, 10)
+    assert search._coeff_text(job, form) == "27,1e,6,9,3b,35;b,d,16,29,28,9"
+    assert equiv.gamma3_rank(form.realize()) == 1974
+
+
 def test_ortho_derivative_gold(ctx5):
     F = power_map(ctx5, 3)
     pi = equiv.ortho_derivative(F)

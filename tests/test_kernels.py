@@ -229,3 +229,48 @@ def test_incidence_rows_are_the_translates(data):
         for g in points:
             expect |= 1 << (x ^ g)
         assert row == expect
+
+
+def _f3_rank_reference(A):
+    """GF(3) rank by plain row reduction over Python lists."""
+    rows = [[v % 3 for v in row] for row in A.tolist()]
+    rank = 0
+    for c in range(A.shape[1]):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * p[c] % 3  # 1 and 2 are their own inverses
+            if f:
+                rows[i] = [(a - f * b) % 3 for a, b in zip(rows[i], p)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def f3_matrices(draw):
+    """Integer matrices of 1..200 rows and columns, word-edge widths included:
+    dense with zero columns, all zero, or a product of rank at most k."""
+    rows = draw(st.integers(1, 200))
+    cols = draw(st.one_of(st.sampled_from([63, 64, 65, 128]), st.integers(1, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "zero", "product"]))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "product":
+        k = draw(st.integers(1, 6))
+        return rng.integers(-40, 41, size=(rows, k)) @ rng.integers(-40, 41, size=(k, cols))
+    A = rng.integers(-300, 300, size=(rows, cols))
+    A[:, rng.random(cols) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0
+    return A
+
+
+@PROPERTY
+@given(f3_matrices())
+@example(np.array([[129, 3, -3]]))  # all = 0 mod 3, none = 0 mod 256
+@example(np.array([[1, 2], [2, 1], [1, 1]]))
+@example(np.random.default_rng(0).integers(-300, 300, size=(200, 200)))
+def test_f3_rank_matches_row_reduction(A):
+    assert equiv._f3_rank(A) == _f3_rank_reference(A)
