@@ -101,14 +101,6 @@ def delta_rank(F: VBF, allow_large=False):
     return _incidence_rank(_difference_set(F), 2 * F.ctx.n)
 
 
-def _f3_words(bits):
-    """Pack a 2-D bool array into rows of uint64 words, column j at bit j % 64 of word j // 64."""
-    rows, cols = bits.shape
-    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
 def _f3_add(P, N, rows, w, wp, wn):
     """Add the GF(3) vector with planes (wp, wn) to the given rows of (P, N), from word w on.
 
@@ -171,9 +163,17 @@ def _f3_eliminate(P, N):
 
 
 def _f3_rank(A):
-    """Rank over GF(3) of a dense integer matrix, by bit-sliced forward elimination."""
+    """Rank over GF(3) of a dense integer matrix, by bit-sliced forward elimination.
+
+    Column j of each row goes to bit j % 64 of word j // 64 of its planes.
+    """
     A = np.asarray(A) % 3
-    return _f3_eliminate(_f3_words(A == 1), _f3_words(A == 2))
+    rows, cols = A.shape
+    planes = np.zeros((2, rows, 8 * -(-cols // 64)), dtype=np.uint8)
+    for plane, value in zip(planes, (1, 2)):
+        plane[:, : -(-cols // 8)] = np.packbits(A == value, axis=1, bitorder="little")
+    P, N = planes.view("<u8")
+    return _f3_eliminate(P, N)
 
 
 def gamma3_rank(F: VBF):

@@ -260,9 +260,8 @@ def classify_functions(funcs):
     """Bucket realized quadratic functions by invariant profile.
 
     If a bucket is unresolved at n <= 6 and there are at most ESCALATE_LIMIT
-    functions, the GF(3) translate rank, computed once per distinct lookup
-    table, joins the same profiles and they are partitioned again.  Bucket
-    counts are inequivalence lower bounds.
+    functions, the GF(3) translate rank joins the same profiles and they are
+    partitioned again.  Bucket counts are inequivalence lower bounds.
     Returns (buckets, profiles, escalated).
     """
     profiles = [equiv.profile(F, assume_quadratic=True) for F in funcs]
@@ -270,12 +269,8 @@ def classify_functions(funcs):
     unresolved = any(b["unresolved"] for b in buckets)
     escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
     if escalated:
-        ranks = {}
         for F, p in zip(funcs, profiles):
-            key = F.lut.tobytes()
-            if key not in ranks:
-                ranks[key] = equiv.gamma3_rank(F)
-            p.gamma3_rank = ranks[key]
+            p.gamma3_rank = equiv.gamma3_rank(F)
         buckets = equiv.partition(funcs, profiles=profiles)
     return buckets, profiles, escalated
 

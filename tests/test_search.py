@@ -2,7 +2,6 @@ import ast
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 
@@ -14,7 +13,7 @@ from apn_forge.errors import JobTooLarge
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.search import SearchJob
-from apn_forge.vbf import Form1, power_map
+from apn_forge.vbf import Form1
 
 
 def file_hash(path):
@@ -68,20 +67,6 @@ def test_binary_scan_n5_classes(monkeypatch):
     assert s.bucket_count == 2
     # one profile per hit; the GF(3) escalation adds its rank to those profiles
     assert calls == {"profile": 15, "gamma3_rank": 15}
-
-
-def test_gamma3_rank_once_per_distinct_lut(monkeypatch, ctx4):
-    F = power_map(ctx4, 3)
-    rng = random.Random(1)
-    (L1, _), (L2, _) = (equiv.random_affine_permutation(ctx4, rng) for _ in range(2))
-    G = equiv.ea_transform(F, (L1, 0), (L2, 0))  # same profile, another table
-    assert G.lut.tobytes() != F.lut.tobytes()
-    ranked = []
-    original = equiv.gamma3_rank
-    monkeypatch.setattr(equiv, "gamma3_rank", lambda H: ranked.append(H) or original(H))
-    _, profiles, escalated = search.classify_functions([F, F, G])
-    assert escalated and len(ranked) == 2
-    assert profiles[0].gamma3_rank == profiles[1].gamma3_rank == profiles[2].gamma3_rank
 
 
 def test_binary_scan_n6_empty():
