@@ -4,7 +4,7 @@ with quick-reject filters, equivalence-class invariants, and a
 deterministic search engine with reproduction pipelines."""
 
 from .field import FieldCtx, mk_field, parse_field_spec
-from .linmap import F2Matrix, LinearizedPoly
+from .linmap import LinearizedPoly
 from .vbf import VBF, BooleanFunction, Form1, UnivariatePoly, from_univariate, power_map
 from .apn import ApnVerdict, Ddt, is_apn_naive, is_apn_quadratic, is_apn_lemma1, is_apn_tcondition
 from .spectral import SpectralProfile, WalshSpectrum, bent_components, wht
@@ -17,7 +17,6 @@ __all__ = [
     "FieldCtx",
     "mk_field",
     "parse_field_spec",
-    "F2Matrix",
     "LinearizedPoly",
     "VBF",
     "BooleanFunction",

@@ -194,7 +194,7 @@ def form1_rank_scan(ctx, c1, c2):
 
 def _kernel_extra(cols, known):
     """Least kernel element, other than 0 and known, of the map with packed columns cols."""
-    rows = f2.transpose(cols.tolist(), len(cols))
+    rows = f2.transpose(cols, len(cols))
     return next(x for x in f2.span(f2.nullspace(rows, len(cols))) if x not in (0, known))
 
 
@@ -268,57 +268,38 @@ def is_apn_lemma1(form: Form1) -> ApnVerdict:
 def is_apn_tcondition(form: Form1) -> ApnVerdict:
     """Scan with the auxiliary t-element shortcut.
 
-    For each (a, y) the solutions t of L1(a^3 y) = L2(a^9 y^3 t) form an
-    affine subspace; when no trace-zero t exists the pair passes outright,
-    otherwise L2(a^9(y^4+t y^3+y^2+y)) must be nonzero at such a t.
+    A pair (a, y), y a nonzero trace-zero point, violates APN iff some
+    trace-zero t solves L2(a^9 y^3 t) = L1(a^3 y) and at such a t
+    L2(a^9 (y^4 + t y^3 + y^2 + y)) = 0.  Per representative a, the t-free
+    part of that test runs over all y at once and the t-step is a batched
+    F2 solvability check over the y that pass it, _CHUNK of them at a time.
     """
     ctx = form.ctx
     n = ctx.n
     l1 = form.L1.lut()
     l2 = form.L2.lut()
-    tb = ctx.trace_table()
-    ys, ys4, _, _ = _trace_zero_points(ctx)
+    ys, _, log_ys, log_ws = _trace_zero_points(ctx)
+    exp, log = ctx.antilog_table, ctx.log_table
     p3 = ctx.pow_table(3)
     y3 = p3[ys]
+    e = 1 << np.arange(n, dtype=np.int64)
+    trace_row = int(f2.transpose(ctx.trace_table()[e], 1)[0])  # bit j = Tr(e_j)
     a_all, v_all = _coset_reps(ctx)
-
-    invertible = form.L2.is_permutation()
-    if invertible:
-        l2inv = np.empty(ctx.order, dtype=np.int64)
-        l2inv[l2] = np.arange(ctx.order)
-
     for i in range(len(v_all)):
         v = int(v_all[i])
         w = int(p3[v])
-        rhs = l1[ctx.mulcv(v, ys)]
-        if invertible:
-            c = ctx.mulcv(w, y3)
-            t = ctx.mulv(ctx.invv(c), l2inv[rhs])
-            tz = tb[t] == 0
-            chk = l2[ctx.mulcv(w, ys4 ^ ctx.mulv(y3, t))]
-            viol = np.nonzero(tz & (chk == 0))[0]
-            if viol.size:
-                a, y = int(a_all[i]), int(ys[int(viol[0])])
-                return ApnVerdict(False, _lemma1_witness(form, a, y), "tcondition")
-            continue
-        for yi in range(len(ys)):
-            y = int(ys[yi])
-            c = ctx.mul(w, int(y3[yi]))
-            cols = [int(l2[ctx.mul(c, 1 << j)]) for j in range(n)]
-            sol = f2.solve(f2.transpose(cols, n), int(rhs[yi]), n)
-            if sol is None:
-                continue
-            t0, kern = sol
-            if tb[t0]:
-                for kv in kern:
-                    if tb[kv]:
-                        t0 ^= kv
-                        break
-                else:
-                    continue  # solutions exist but none has trace zero
-            arg = int(ys4[yi]) ^ ctx.mul(int(y3[yi]), t0)
-            if l2[ctx.mul(w, arg)] == 0:
-                a = int(a_all[i])
+        rhs = l1[exp[int(log[v]) + log_ys]]
+        # L2 is F2-linear, so at every solution t of L2(w y^3 t) = rhs
+        # L2(w(y^4 + t y^3 + y^2 + y)) = L2(w(y^4 + y^2 + y)) + rhs, whatever t is.
+        cand = np.nonzero(l2[exp[int(log[w]) + log_ws]] == rhs)[0]
+        for lo in range(0, cand.size, _CHUNK):
+            yi = cand[lo : lo + _CHUNK]
+            # t -> L2(w y^3 t) as n rows, then Tr(t) = 0 as a row with right-hand side 0
+            cols = l2[ctx.mulv(ctx.mulcv(w, y3[yi])[:, None], e)]
+            rows = np.column_stack([f2.transpose(cols, n), np.full(yi.size, trace_row)])
+            hit = np.nonzero(f2.batch_solvable(rows, rhs[yi], n))[0]
+            if hit.size:
+                a, y = int(a_all[i]), int(ys[yi[hit[0]]])
                 return ApnVerdict(False, _lemma1_witness(form, a, y), "tcondition")
     return ApnVerdict(True, None, "tcondition")
 
@@ -596,8 +577,6 @@ def check_boolean_addition(F: VBF, f: BooleanFunction) -> bool:
     luts = np.stack([F.lut, f.to_array().astype(np.int64)])
     rows, bits = bilinear_table(luts, np.arange(ctx.order))
     rhs = (bits << np.arange(ctx.n)).sum(axis=1)
-    for a in range(1, ctx.order):
-        # the last row forces l_a(1) = 0
-        if f2.solve(rows[a].tolist() + [1], int(rhs[a]), ctx.n) is None:
-            return False
-    return True
+    # one system per a != 0; the last row, 1, with right-hand side 0 forces l_a(1) = 0
+    rows = np.column_stack([rows[1:], np.ones(ctx.order - 1, dtype=np.int64)])
+    return bool(f2.batch_solvable(rows, rhs[1:], ctx.n).all())

@@ -1,9 +1,10 @@
 """Bit-packed linear algebra over F2.
 
 Rows are ints, bit j = column j.  A row is read as one linear equation
-``parity(row & x) = rhs`` over the unknown bit-vector x.  These routines
-back kernel/rank computations everywhere speed matters; batch variants
-operate on numpy arrays of packed rows.
+``parity(row & x) = rhs`` over the unknown bit-vector x.  The scalar
+routines give ranks, reduced bases and kernels; the batch variants take
+numpy arrays of packed rows, one system per entry, and answer ranks and
+solvability without building a solution.
 """
 
 import numpy as np
@@ -59,45 +60,6 @@ def nullspace(rows, ncols):
     return out
 
 
-def solve(rows, rhs_bits, ncols):
-    """Solve the system {parity(row_i & x) == rhs_i}.
-
-    rhs_bits packs the right-hand sides, bit i for row i.  Returns
-    (particular_solution, kernel_basis), or None if inconsistent.
-    """
-    basis = {}
-    for i, row in enumerate(rows):
-        r, b = int(row), (rhs_bits >> i) & 1
-        while r:
-            p = r.bit_length() - 1
-            if p not in basis:
-                break
-            br, bb = basis[p]
-            r ^= br
-            b ^= bb
-        if not r:
-            if b:
-                return None
-            continue
-        p = r.bit_length() - 1
-        for q in list(basis):
-            if (r >> q) & 1:
-                br, bb = basis[q]
-                r ^= br
-                b ^= bb
-        for q in basis:
-            br, bb = basis[q]
-            if (br >> p) & 1:
-                basis[q] = (br ^ r, bb ^ b)
-        basis[p] = (r, b)
-    x = 0
-    for p, (_, b) in basis.items():
-        if b:
-            x |= 1 << p
-    kernel = nullspace([r for r, _ in basis.values()], ncols)
-    return x, kernel
-
-
 def span(basis):
     """All 2^len(basis) combinations of a basis, ascending."""
     out = [0]
@@ -107,8 +69,14 @@ def span(basis):
 
 
 def transpose(cols, nrows):
-    """Packed rows of the bit matrix whose column j is the packed value cols[j]."""
-    return [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(nrows)]
+    """Packed rows of the bit matrix whose column j is the packed value cols[..., j].
+
+    Batched over any leading axes of cols; returns an int64 array of shape
+    cols.shape[:-1] + (nrows,).
+    """
+    c = np.asarray(cols, dtype=np.int64)
+    bits = (c[..., None, :] >> np.arange(nrows)[:, None]) & 1
+    return (bits << np.arange(c.shape[-1])).sum(axis=-1)
 
 
 def batch_rank(mat, ncols):
@@ -132,3 +100,17 @@ def batch_rank(mat, ncols):
         basis[lead, cols] = cur
         ranks += cur != 0
     return ranks
+
+
+def batch_solvable(rows, rhs, ncols):
+    """Per system, whether {parity(row_i & x) == rhs_i} has a solution x.
+
+    rows has shape (B, nrows) of packed ncols-bit rows; rhs has shape (B,),
+    bit i the right-hand side of row i.  A system is solvable iff appending
+    the right-hand side as column ncols leaves the rank unchanged, so
+    ncols + 1 must be <= 53.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    rhs = np.asarray(rhs, dtype=np.int64)[:, None]
+    aug = rows | (((rhs >> np.arange(rows.shape[1])) & 1) << ncols)
+    return batch_rank(aug, ncols + 1) == batch_rank(rows, ncols)

@@ -1,7 +1,7 @@
 """Linearized polynomials L(x) = sum c_i x^(2^i) over GF(2^n).
 
-The coefficient vector is the canonical representation; the bit matrix,
-kernel and full lookup table are derived on demand.  Kernels are returned
+The coefficient vector is the canonical representation; the rank, kernel
+and full lookup table are derived on demand.  Kernels are returned
 in ascending integer order so downstream output is deterministic.
 """
 
@@ -11,24 +11,6 @@ import numpy as np
 
 from . import f2
 from .errors import ContextMismatch, InternalCheckFailed
-
-
-class F2Matrix:
-    """Bit matrix with rows packed as ints (bit j = column j)."""
-
-    def __init__(self, rows, cols, bits):
-        self.rows = rows
-        self.cols = cols
-        self.bits = list(bits)
-
-    def rank(self):
-        return f2.rank(self.bits)
-
-    def apply(self, x):
-        y = 0
-        for i, row in enumerate(self.bits):
-            y |= (int(row & x).bit_count() & 1) << i
-        return y
 
 
 class LinearizedPoly:
@@ -60,22 +42,15 @@ class LinearizedPoly:
 
     # -- structure ----------------------------------------------------------
 
-    def to_matrix(self):
-        n = self.ctx.n
-        return F2Matrix(n, n, f2.transpose(basis_images(self.ctx, self.coeffs).tolist(), n))
-
     def kernel(self):
-        basis = f2.nullspace(self.to_matrix().bits, self.ctx.n)
-        return f2.span(basis)
+        rows = f2.transpose(basis_images(self.ctx, self.coeffs), self.ctx.n)
+        return f2.span(f2.nullspace(rows, self.ctx.n))
 
     def rank(self):
-        return self.to_matrix().rank()
+        return f2.rank(basis_images(self.ctx, self.coeffs))  # the column rank
 
     def is_permutation(self):
         return self.rank() == self.ctx.n
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def adjoint(self):
         """Adjoint map: Tr(L(x)y) == Tr(x L*(y)) for all x, y."""
@@ -169,13 +144,6 @@ def zero(ctx):
 
 def identity(ctx):
     return LinearizedPoly(ctx, [1] + [0] * (ctx.n - 1))
-
-
-def frobenius(ctx, i):
-    """x -> x^(2^i)."""
-    c = [0] * ctx.n
-    c[i % ctx.n] = 1
-    return LinearizedPoly(ctx, c)
 
 
 def trace_map(ctx):

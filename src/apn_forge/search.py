@@ -344,12 +344,6 @@ def run(job: SearchJob, out_path=None, workers=1):
     )
 
 
-def enumerate_binary_L(ctx):
-    """All 2^n binary-coefficient linearized polynomials, ascending mask."""
-    for mask in range(ctx.order):
-        yield linmap.from_mask(ctx, mask)
-
-
 # -- batched evidence engine for the bent-count relation ------------------------
 
 

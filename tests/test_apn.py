@@ -89,10 +89,11 @@ def test_lemma1_violation_location_n6(ctx6):
 
 
 def test_lemma1_pure_cube_never_fails():
-    for n in (4, 5, 6, 7, 8, 10):
+    for n in range(4, 13):
         ctx = mk_field(n)
         form = Form1(linmap.identity(ctx), linmap.zero(ctx))
         assert apn.is_apn_lemma1(form).is_apn
+        assert apn.is_apn_tcondition(form).is_apn
 
 
 def test_tcondition_agrees_exhaustive_n5(ctx5):

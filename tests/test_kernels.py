@@ -115,6 +115,49 @@ def test_batch_rank_matches_rank(data):
 
 
 @PROPERTY
+@given(st.data())
+def test_transpose_swaps_bit_indices(data):
+    nrows, ncols = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 12))
+    cols = data.draw(st.lists(elements(nrows, ncols), min_size=1, max_size=4))
+    rows = f2.transpose(cols, nrows)
+    assert rows.shape == (len(cols), nrows)
+    for k, c in enumerate(cols):
+        assert f2.transpose(c, nrows).tolist() == rows[k].tolist()
+        for i in range(nrows):
+            assert [(rows[k, i] >> j) & 1 for j in range(ncols)] == [(c[j] >> i) & 1 for j in range(ncols)]
+
+
+@st.composite
+def f2_systems(draw):
+    """(rows, rhs, ncols) for B systems of nrows equations in ncols <= 8 unknowns,
+    zero rows and repeated rows (rank deficiency) drawn often."""
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(1, 10))
+    pool = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=1, max_size=4))
+    row = st.one_of(st.just(0), st.sampled_from(pool), st.integers(0, (1 << ncols) - 1))
+    B = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(row, min_size=nrows, max_size=nrows), min_size=B, max_size=B))
+    rhs = draw(st.lists(st.integers(0, (1 << nrows) - 1), min_size=B, max_size=B))
+    return rows, rhs, ncols
+
+
+@PROPERTY
+@given(f2_systems())
+@example(([[0, 0]], [0b10], 3))  # zero row, nonzero right-hand side
+@example(([[0, 0]], [0], 3))
+@example(([[0b101, 0b101]], [0b01], 3))  # repeated row, inconsistent
+@example(([[1, 2, 3], [1, 2, 3]], [0b011, 0b111], 2))  # rank 2 of 3 rows: consistent, inconsistent
+def test_batch_solvable_matches_brute_force(system):
+    rows, rhs, ncols = system
+    got = f2.batch_solvable(np.array(rows, dtype=np.int64), rhs, ncols)
+    expect = [
+        any(all((r & x).bit_count() % 2 == (b >> i) & 1 for i, r in enumerate(rs)) for x in range(1 << ncols))
+        for rs, b in zip(rows, rhs)
+    ]
+    assert got.tolist() == expect
+
+
+@PROPERTY
 @given(form1s())
 @example(_gold(4))
 @example(_gold(5))
@@ -170,6 +213,36 @@ def test_form1_rank_scan_first_bad_is_the_witness_direction(batch):
     for f, form in zip(apn.form1_rank_scan(ctx, c1, c2), _forms(ctx, c1, c2)):
         w = apn.is_apn_quadratic(form).witness
         assert (None if f < 0 else int(a_all[f])) == (w and w.a)
+
+
+@st.composite
+def form1s_by_l2_rank(draw):
+    """Form1 at n = 4..10 with L1 binary or random, and L2 invertible,
+    rank-deficient (a map composed with x^2 + x) or zero."""
+    n = draw(st.integers(4, 10))
+    ctx = mk_field(n)
+    rand = st.builds(lambda c: LinearizedPoly(ctx, c), elements(n, n))
+    L1 = draw(st.one_of(st.integers(0, ctx.order - 1).map(lambda m: linmap.from_mask(ctx, m)), rand))
+    kind = draw(st.sampled_from(["invertible", "deficient", "zero"]))
+    if kind == "invertible":
+        L2 = draw(rand.filter(LinearizedPoly.is_permutation))
+    elif kind == "deficient":
+        L2 = draw(rand).compose(LinearizedPoly(ctx, [1, 1] + [0] * (n - 2)))
+    else:
+        L2 = linmap.zero(ctx)
+    return Form1(L1, L2)
+
+
+@PROPERTY
+@given(form1s_by_l2_rank())
+@example(_gold(10))
+@example(_X9_TR3[2])
+@example(Form1(linmap.trace_map(mk_field(6)), linmap.identity(mk_field(6))))
+def test_tcondition_matches_lemma1_verdict_and_witness(form):
+    # where lemma 1's condition holds at (a, y), t = y + y^-1 + y^-2 is a
+    # trace-zero solution of the t-step, so the two routes stop at the same pair
+    t, l1 = apn.is_apn_tcondition(form), apn.is_apn_lemma1(form)
+    assert (t.is_apn, t.witness) == (l1.is_apn, l1.witness)
 
 
 @PROPERTY

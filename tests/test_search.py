@@ -20,11 +20,8 @@ def file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-def test_enumerate_binary(ctx4):
-    cands = list(search.enumerate_binary_L(ctx4))
-    assert len(cands) == 16
-    assert cands[0].is_zero()
-    assert cands[3].coeffs == (1, 1, 0, 0)
+def test_from_mask_bit_order(ctx4):
+    assert linmap.from_mask(ctx4, 3).coeffs == (1, 1, 0, 0)
 
 
 def test_rng_values_deterministic():
