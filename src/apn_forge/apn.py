@@ -39,8 +39,9 @@ _CHUNK = 4096
 
 # Rows per walk slice, and (row, index) pairs per block of a walk.  CPU s per
 # round of the binary x^9 + L(x^3) scan at n = 13 (8192 candidates, best of 5
-# rounds in each of 2 passes, 2 cores): 256: 0.19-0.26, 512: 0.12, 1024:
-# 0.09-0.14, 2048: 0.07, 4096: 0.07 with 3 MB more peak RSS.
+# rounds in each of 2 passes, 2 runs, 2-core x86-64): 256: 0.08-0.11, 512:
+# 0.04-0.07, 1024: 0.034-0.037, 2048: 0.030-0.035, 4096: 0.038-0.047 with 2 MB
+# more peak RSS, 8192: 0.05-0.07 with 7 MB more.
 WALK_PAIRS = 2048
 
 # Value-table entries per slice of a batched filter.  CPU s (3 interleaved
@@ -160,29 +161,62 @@ def _form1_cols(ctx, b1, b2, vs):
     )
 
 
+@cache
+def _frobenius_leaders(ctx):
+    """Indices into the cube-coset representatives of the first member of each
+    orbit of v -> v^2, ascending (cached: read only)."""
+    _, v_all = _coset_reps(ctx)
+    index = np.zeros(ctx.order, dtype=np.int64)
+    index[v_all] = np.arange(len(v_all))
+    square = index[ctx.pow_table(2)[v_all]]  # v^2 is again a cube, so it has an index
+    member = first = np.arange(len(v_all))
+    for _ in range(ctx.n - 1):  # an orbit has at most n members
+        member = square[member]
+        first = np.minimum(first, member)
+    return np.nonzero(first == np.arange(len(v_all)))[0]
+
+
 def form1_rank_scan(ctx, c1, c2):
     """Per row pair of coefficients, the index into the cube-coset
     representatives of the first a whose linearized derivative has rank
     != n - 1, or -1 when there is none: that candidate is APN.
 
-    The batched Form1 rank test; c1 and c2 have shape (B, n).  Rows are
-    taken WALK_PAIRS at a time, and each slice walks the representatives in
-    doubling blocks over its surviving rows only, at most WALK_PAIRS
+    The batched Form1 rank test; c1 and c2 have shape (B, n).  A row whose
+    coefficients are all 0 or 1 commutes with squaring, F(x^2) = F(x)^2, so
+    its rank at v equals its rank at v^2.  Such rows walk only the first
+    member of each v -> v^2 orbit; the first failing member is the first
+    failing representative of the full walk, so the index is the same.
+    """
+    _, v_all = _coset_reps(ctx)
+    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    binary = ((c1 <= 1) & (c2 <= 1)).all(axis=1)
+    lead = _frobenius_leaders(ctx)
+    first = np.empty(len(c1), dtype=np.int64)
+    pos = _first_bad(ctx, c1[binary], c2[binary], v_all[lead])
+    first[binary] = np.where(pos < 0, -1, lead[pos])
+    first[~binary] = _first_bad(ctx, c1[~binary], c2[~binary], v_all)
+    return first
+
+
+def _first_bad(ctx, c1, c2, vs):
+    """Per row pair, the index of the first v in vs at which the rank is not
+    n - 1, or -1.
+
+    Rows are taken WALK_PAIRS at a time, and each slice walks vs in doubling
+    blocks over its surviving rows only, at most WALK_PAIRS
     (row, representative) pairs a block.  Most rows fail at one of the first
     few representatives.
     """
     n = ctx.n
-    _, v_all = _coset_reps(ctx)
-    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
     first = np.full(len(c1), -1, dtype=np.int64)
     for lo in range(0, len(c1), WALK_PAIRS):
         b1 = linmap.basis_images(ctx, c1[lo : lo + WALK_PAIRS])
         b2 = linmap.basis_images(ctx, c2[lo : lo + WALK_PAIRS])
         alive = np.arange(len(b1))
         start, width = 0, 1
-        while alive.size and start < len(v_all):
-            width = min(width, max(1, WALK_PAIRS // alive.size), len(v_all) - start)
-            cols = _form1_cols(ctx, b1[alive], b2[alive], v_all[start : start + width])
+        while alive.size and start < len(vs):
+            width = min(width, max(1, WALK_PAIRS // alive.size), len(vs) - start)
+            cols = _form1_cols(ctx, b1[alive], b2[alive], vs[start : start + width])
             bad = (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(len(alive), width)
             hit = bad.any(axis=1)
             first[lo + alive[hit]] = start + bad[hit].argmax(axis=1)

@@ -9,6 +9,8 @@ solvability without building a solution.
 
 import numpy as np
 
+from .errors import PreconditionViolated
+
 
 def _semi_echelon(rows):
     """Row basis as {pivot_bit: row}, each row's leading bit its pivot."""
@@ -82,23 +84,21 @@ def transpose(cols, nrows):
 def batch_rank(mat, ncols):
     """Ranks of a batch of bit matrices.
 
-    mat has shape (B, nrows); each entry is a packed row of ncols bits.
-    Returns an int64 array of B ranks.  A reduced row's leading bit is read
-    off its float exponent, which is exact for ncols <= 53.
+    mat has shape (B, nrows); each entry is a packed row of ncols <= 64 bits.
+    Returns an int64 array of B ranks.  Each pass takes every matrix's largest
+    row as its pivot: XOR with it makes exactly the rows that share its leading
+    bit smaller, so min(row, row ^ top) clears that bit from them, leaves the
+    other rows and zeroes the pivot.  One pass per pivot, at most
+    min(nrows, ncols) passes.
     """
-    dt = np.min_scalar_type((1 << ncols) - 1).type
-    m = np.asarray(mat).astype(dt)
-    B, nrows = m.shape
-    basis = np.zeros((ncols + 1, B), dtype=dt)  # row p is led by bit p; zero rows land in row ncols
-    ranks = np.zeros(B, dtype=np.int64)
-    cols = np.arange(B)
-    for r in range(nrows):
-        cur = m[:, r].copy()
-        for p in range(ncols - 1, -1, -1):
-            cur ^= basis[p] * ((cur >> dt(p)) & dt(1))
-        lead = np.frexp(cur.astype(np.float64))[1] - 1
-        basis[lead, cols] = cur
-        ranks += cur != 0
+    if ncols > 64:
+        raise PreconditionViolated(f"batch_rank packs rows in 64 bits, got {ncols} columns")
+    m = np.asarray(mat).T.astype(np.min_scalar_type((1 << ncols) - 1), order="C")
+    ranks = np.zeros(m.shape[-1], dtype=np.int64)
+    for _ in range(min(len(m), ncols)):
+        top = m.max(axis=0)
+        ranks += top != 0
+        np.minimum(m, m ^ top, out=m)
     return ranks
 
 
@@ -108,9 +108,11 @@ def batch_solvable(rows, rhs, ncols):
     rows has shape (B, nrows) of packed ncols-bit rows; rhs has shape (B,),
     bit i the right-hand side of row i.  A system is solvable iff appending
     the right-hand side as column ncols leaves the rank unchanged, so
-    ncols + 1 must be <= 53.
+    ncols + 1 must be <= 64.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    rhs = np.asarray(rhs, dtype=np.int64)[:, None]
-    aug = rows | (((rhs >> np.arange(rows.shape[1])) & 1) << ncols)
+    if ncols + 1 > 64:
+        raise PreconditionViolated(f"batch_solvable needs ncols + 1 <= 64, got ncols = {ncols}")
+    rows = np.asarray(rows).astype(np.uint64)
+    bits = (np.asarray(rhs, dtype=np.int64)[:, None] >> np.arange(rows.shape[1])) & 1
+    aug = rows | (bits.astype(np.uint64) << np.uint64(ncols))
     return batch_rank(aug, ncols + 1) == batch_rank(rows, ncols)

@@ -128,12 +128,15 @@ def apply_images(images, points):
     """out[s, ...] = L_s(points) for the maps with L_s(e_j) = images[s, j].
 
     Each point is split into its bits, so no value table is built: the cost is
-    n passes over an array of len(images) * points.size entries.
+    n passes over an array of len(images) * points.size entries, held in the
+    narrowest unsigned dtype that fits n bits.
     """
-    points = np.asarray(points)
-    images = images.reshape(images.shape[:1] + (1,) * points.ndim + images.shape[1:])
-    out = np.zeros(images.shape[:1] + points.shape, dtype=np.int64)
-    for j in range(images.shape[-1]):
+    n = images.shape[-1]
+    dt = np.min_scalar_type((1 << n) - 1)
+    points = np.asarray(points).astype(dt)
+    images = images.astype(dt).reshape(images.shape[:1] + (1,) * points.ndim + images.shape[1:])
+    out = np.zeros(images.shape[:1] + points.shape, dtype=dt)
+    for j in range(n):
         out ^= images[..., j] * ((points >> j) & 1)
     return out
 

@@ -155,8 +155,13 @@ def _decode(job: SearchJob, ctx, index):
     return Form1(LinearizedPoly(ctx, c1[0]), LinearizedPoly(ctx, c2[0]))
 
 
+# Verdicts in code order; a scan keeps one uint8 code per candidate.
+VERDICTS = ("apn", "fail", "rejected:parity", "rejected:nonzero", "rejected:beta")
+APN = 0
+
+
 def _classify_rows(job: SearchJob, ctx, c1, c2):
-    """Verdict strings of a batch: the enabled filters in order, each on the
+    """Verdict codes of a batch: the enabled filters in order, each on the
     rows the earlier ones kept, then the Form1 rank kernel on the survivors."""
     even = ctx.n % 2 == 0
     stages = (
@@ -165,14 +170,14 @@ def _classify_rows(job: SearchJob, ctx, c1, c2):
         ("rejected:beta", even and job.use_beta and ctx.n % 3 == 0, lambda a, b: apn.beta_scan(ctx, a) >= 0),
         ("fail", True, lambda a, b: apn.form1_rank_scan(ctx, a, b) >= 0),
     )
-    verdicts = np.full(len(c1), "apn", dtype=object)
+    codes = np.full(len(c1), APN, dtype=np.uint8)
     alive = np.arange(len(c1))
     for verdict, enabled, rejects in stages:
         if enabled and alive.size:
             out = rejects(c1[alive], c2[alive])
-            verdicts[alive[out]] = verdict
+            codes[alive[out]] = VERDICTS.index(verdict)
             alive = alive[~out]
-    return verdicts.tolist()
+    return codes
 
 
 def _coeff_text(job: SearchJob, form: Form1):
@@ -202,10 +207,11 @@ def _init_worker(job_json):
 def _run_range(bounds):
     lo, hi = bounds
     job, ctx = _worker_job, _worker_ctx
-    verdicts = []
-    for start in range(lo, hi, apn.WALK_PAIRS):  # one walk's rows at a time bounds the memory
-        verdicts += _classify_rows(job, ctx, *_coeff_rows(job, ctx, start, min(start + apn.WALK_PAIRS, hi)))
-    return list(zip(range(lo, hi), verdicts))
+    # one walk's rows at a time bounds the memory
+    starts = range(lo, hi, apn.WALK_PAIRS)
+    return np.concatenate(
+        [_classify_rows(job, ctx, *_coeff_rows(job, ctx, s, min(s + apn.WALK_PAIRS, hi))) for s in starts]
+    )
 
 
 @dataclass
@@ -238,22 +244,19 @@ class SearchSummary:
 
 
 def _scan(job: SearchJob, total, workers):
-    """(index, verdict) for every candidate from the cursor on, in index order."""
+    """The verdict code of every candidate from the cursor on, in index order."""
     chunk = max(256, min(1 << 14, ((total - job.cursor) // max(workers, 1)) + 1))
     ranges = [
         (lo, min(lo + chunk, total)) for lo in range(job.cursor, total, chunk)
     ]
-    results = []
     if workers > 1 and len(ranges) > 1:
         mp = multiprocessing.get_context("fork")
         with mp.Pool(workers, initializer=_init_worker, initargs=(job.to_json(),)) as pool:
-            for part in pool.map(_run_range, ranges):
-                results.extend(part)
+            parts = pool.map(_run_range, ranges)
     else:
         _init_worker(job.to_json())
-        for r in ranges:
-            results.extend(_run_range(r))
-    return results
+        parts = [_run_range(r) for r in ranges]
+    return np.concatenate([np.zeros(0, dtype=np.uint8)] + parts)
 
 
 def classify_functions(funcs):
@@ -290,18 +293,14 @@ def run(job: SearchJob, out_path=None, workers=1):
     t0 = time.time()
     ctx = job.ctx()
     total = job.total_candidates()
-    results = _scan(job, total, workers)
+    codes = _scan(job, total, workers)
+    counts = np.bincount(codes, minlength=len(VERDICTS))
+    verdict_counts = {v: int(c) for v, c in zip(VERDICTS, counts) if c}
 
-    verdict_counts = {}
-    for _, verdict in results:
-        verdict_counts[verdict] = verdict_counts.get(verdict, 0) + 1
-
-    profiling = 0 < verdict_counts.get("apn", 0) <= PROFILE_HIT_LIMIT and ctx.n <= 10
+    profiling = 0 < counts[APN] <= PROFILE_HIT_LIMIT and ctx.n <= 10
     hits = {}
     funcs = []
-    for i, verdict in results:
-        if verdict != "apn":
-            continue
+    for i in (job.cursor + np.nonzero(codes == APN)[0]).tolist():
         form = _decode(job, ctx, i)
         F = form.realize()
         check = apn.is_apn_naive(F) if ctx.n <= 8 else apn.is_apn_quadratic(F, assume_quadratic=True)
@@ -321,13 +320,11 @@ def run(job: SearchJob, out_path=None, workers=1):
         hit_profiles = {i: p.as_dict() for i, p in zip(hits, profiles)}
 
     if out_path:
-        lines = []
-        for i, verdict in results:
-            if i in hits:
-                lines.append(_record_line(job, ctx, hits[i], verdict, hit_profiles.get(i)))
-            elif job.record == "all":
-                text = _coeff_text(job, _decode(job, ctx, i))
-                lines.append(_record_line(job, ctx, text, verdict, None))
+        lines = [_record_line(job, ctx, text, "apn", hit_profiles.get(i)) for i, text in hits.items()]
+        if job.record == "all":
+            for i in np.nonzero(codes != APN)[0].tolist():
+                text = _coeff_text(job, _decode(job, ctx, job.cursor + i))
+                lines.append(_record_line(job, ctx, text, VERDICTS[codes[i]], None))
         lines.sort()
         with open(out_path, "w") as fh:
             for line in lines:

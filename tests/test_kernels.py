@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apn_forge import apn, equiv, f2, linmap, spectral, vbf
-from apn_forge.errors import NonBinaryCoefficients
+from apn_forge.errors import NonBinaryCoefficients, PreconditionViolated
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import VBF, Form1, bilinear_table, ddt_row_blocks, deriv_basis_table, gram_elements
@@ -104,14 +104,37 @@ def test_rank_matches_reduced_basis(data):
     assert f2.rank(rows) == len(f2.reduce_rows(rows))
 
 
+@st.composite
+def bit_matrices(draw):
+    """(mats, width): 1..20 matrices of 1..80 packed rows of 1..64 bits, the top
+    bit (bit 63 at width 64), zero rows and repeated rows drawn on purpose, and
+    the widths at the edges of the uint8..uint64 row dtypes drawn often."""
+    width = draw(st.one_of(st.sampled_from([8, 9, 16, 17, 32, 33, 63, 64]), st.integers(1, 64)))
+    top = 1 << (width - 1)
+    nrows = draw(st.integers(1, 80))
+    pool = draw(st.lists(st.integers(0, 2 * top - 1), min_size=1, max_size=4))
+    row = st.one_of(
+        st.just(0), st.sampled_from(pool), st.integers(0, top - 1).map(lambda r: r | top), st.integers(0, 2 * top - 1)
+    )
+    return draw(st.lists(st.lists(row, min_size=nrows, max_size=nrows), min_size=1, max_size=20)), width
+
+
 @PROPERTY
-@given(st.data())
-def test_batch_rank_matches_rank(data):
-    width = data.draw(st.integers(1, 32))
-    nrows = data.draw(st.integers(1, 12))
-    mats = data.draw(st.lists(elements(width, nrows), min_size=1, max_size=20))
-    ranks = f2.batch_rank(np.array(mats, dtype=np.int64), width)
+@given(bit_matrices())
+@example(([[1 << 63, (1 << 63) | 1, 1]], 64))  # dependent rows, every one at bit 63 or 0
+@example(([[1, 2, 3, 3, 1]], 2))  # more rows than columns
+def test_batch_rank_matches_rank(system):
+    mats, width = system
+    ranks = f2.batch_rank(np.array(mats, dtype=np.uint64), width)
     assert ranks.tolist() == [f2.rank(m) for m in mats]
+
+
+def test_batch_rank_limits():
+    assert f2.batch_rank(np.zeros((0, 3), dtype=np.int64), 5).shape == (0,)
+    with pytest.raises(PreconditionViolated):
+        f2.batch_rank(np.zeros((1, 3), dtype=np.int64), 65)
+    with pytest.raises(PreconditionViolated):
+        f2.batch_solvable(np.zeros((1, 3), dtype=np.int64), [0], 64)
 
 
 @PROPERTY
@@ -215,6 +238,73 @@ def test_form1_rank_scan_first_bad_is_the_witness_direction(batch):
         assert (None if f < 0 else int(a_all[f])) == (w and w.a)
 
 
+def _reference_first_bad(form):
+    """Index of the first cube-coset representative a with rank(D_a F) != n - 1,
+    or -1: batch_rank of the realized function's derivative at every one."""
+    ctx = form.ctx
+    a_all, _ = apn._coset_reps(ctx)
+    bad = f2.batch_rank(bilinear_table(form.realize().lut, a_all), ctx.n) != ctx.n - 1
+    return int(bad.argmax()) if bad.any() else -1
+
+
+@st.composite
+def binary_form1_batches(draw):
+    """Binary coefficient rows at n = 3..12: sparse masks (often APN), dense ones,
+    and the masks 0 and 1."""
+    n = draw(st.integers(3, 12))
+    ctx = mk_field(n)
+    sparse = st.lists(st.integers(0, n - 1), max_size=3).map(lambda ks: sum(1 << k for k in ks))
+    mask = st.one_of(sparse, st.integers(0, ctx.order - 1), st.sampled_from([1, 0]))
+    rows = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6))
+    return _batch_of(*(Form1(linmap.from_mask(ctx, a), linmap.from_mask(ctx, b)) for a, b in rows))
+
+
+@PROPERTY
+@given(binary_form1_batches())
+@example(_batch_of(_gold(11)))
+@example(_batch_of(_X9_TR3[2], Form1(linmap.zero(mk_field(8)), linmap.identity(mk_field(8)))))
+@example(_batch_of(Form1(linmap.from_mask(mk_field(12), 0b101), linmap.identity(mk_field(12)))))
+def test_form1_rank_scan_on_binary_rows_matches_full_walk(batch):
+    ctx, c1, c2 = batch
+    assert apn.form1_rank_scan(ctx, c1, c2).tolist() == [_reference_first_bad(f) for f in _forms(ctx, c1, c2)]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_frobenius_leaders_cover_each_orbit_once(n):
+    ctx = mk_field(n)
+    _, v_all = apn._coset_reps(ctx)
+    index = {int(v): i for i, v in enumerate(v_all)}
+    seen = set()
+    for i in apn._frobenius_leaders(ctx).tolist():
+        orbit, v = set(), int(v_all[i])
+        while index[v] not in orbit:
+            orbit.add(index[v])
+            v = ctx.mul(v, v)
+        assert min(orbit) == i and not orbit & seen
+        seen |= orbit
+    assert seen == set(range(len(v_all)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_form1_rank_scan_walks_every_representative_of_a_non_binary_row(n):
+    ctx = mk_field(n)
+    rng = np.random.default_rng(n)
+    c1, c2 = rng.integers(0, 2, size=(2, 40, n))
+    c1[::2, n // 2] = rng.integers(2, ctx.order, size=20)  # one coefficient outside {0, 1}
+    walked = []
+    real = apn._first_bad
+
+    def spy(ctx, c1, c2, vs):
+        walked.append((c1.tolist(), len(vs)))
+        return real(ctx, c1, c2, vs)
+
+    with mock.patch.object(apn, "_first_bad", spy):
+        first = apn.form1_rank_scan(ctx, c1, c2)
+    _, v_all = apn._coset_reps(ctx)
+    assert [c for rows, size in walked if size == len(v_all) for c in rows] == c1[::2].tolist()
+    assert first.tolist() == [_reference_first_bad(f) for f in _forms(ctx, c1, c2)]
+
+
 @st.composite
 def form1s_by_l2_rank(draw):
     """Form1 at n = 4..10 with L1 binary or random, and L2 invertible,
@@ -280,14 +370,21 @@ def test_filter_scans_match_quick_rejects(batch):
 @PROPERTY
 @given(st.data())
 def test_lut_compose_and_apply_images_match_eval(data):
-    n = data.draw(st.integers(2, 8))
+    # every point up to n = 12, 256 sampled ones above with the top bit on half;
+    # n = 8, 9, 16 and 17 are the edges of the uint8, uint16 and uint32 images
+    n = data.draw(st.one_of(st.sampled_from([8, 9, 16, 17]), st.integers(2, 20)))
     ctx = mk_field(n)
     L, M = (LinearizedPoly(ctx, data.draw(elements(n, n))) for _ in range(2))
-    xs = list(range(ctx.order))
-    assert L.lut().tolist() == [L.eval(x) for x in xs]
+    if n <= 12:
+        xs = list(range(ctx.order))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        xs = rng.integers(0, ctx.order, size=256) | np.arange(256) % 2 << (n - 1)
+        xs = xs.tolist()
+    assert L.lut()[xs].tolist() == [L.eval(x) for x in xs]
     assert [L.compose(M).eval(x) for x in xs] == [L.eval(M.eval(x)) for x in xs]
     images = linmap.basis_images(ctx, [L.coeffs, M.coeffs])
-    assert linmap.apply_images(images, np.array(xs)).tolist() == [L.lut().tolist(), M.lut().tolist()]
+    assert linmap.apply_images(images, np.array(xs)).tolist() == [L.lut()[xs].tolist(), M.lut()[xs].tolist()]
 
 
 @PROPERTY
