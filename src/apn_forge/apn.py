@@ -131,10 +131,10 @@ def _coset_reps(ctx):
 
 @cache
 def _trace_zero_points(ctx):
-    """The nonzero trace-zero y, w = y^4+y^2+y, and the logs of y and w (cached: read only)."""
+    """The nonzero trace-zero y and the logs of y and of y^4+y^2+y (cached: read only)."""
     ys = ctx.trace_zero_nonzero()
     ws = ctx.pow_table(4)[ys] ^ ctx.pow_table(2)[ys] ^ ys
-    return ys, ws, ctx.log_table[ys], ctx.log_table[ws]
+    return ys, ctx.log_table[ys], ctx.log_table[ws]
 
 
 @cache
@@ -275,16 +275,13 @@ def _lemma1_witness(form: Form1, a, y):
     return _mk_witness(form.realize(), a, ctx.mul(a, x0))
 
 
-def is_apn_lemma1(form: Form1) -> ApnVerdict:
-    """Direct scan of the derivative condition on trace-zero points.
-
-    APN iff L1(a^3 y) + L2(a^9 (y^4+y^2+y)) != 0 for every a != 0 and every
-    nonzero trace-zero y.
-    """
+def _lemma1_pair(form: Form1):
+    """The first (a, y), a a cube-coset representative and y a nonzero
+    trace-zero point, with L1(a^3 y) + L2(a^9 (y^4+y^2+y)) = 0, or None."""
     ctx = form.ctx
     l1 = form.L1.lut()
     l2 = form.L2.lut()
-    ys, _, log_ys, log_ws = _trace_zero_points(ctx)
+    ys, log_ys, log_ws = _trace_zero_points(ctx)
     exp, log = ctx.antilog_table, ctx.log_table
     p3 = ctx.pow_table(3)
     a_all, v_all = _coset_reps(ctx)
@@ -294,48 +291,44 @@ def is_apn_lemma1(form: Form1) -> ApnVerdict:
         vals = l1[exp[int(log[v]) + log_ys]] ^ l2[exp[int(log[p3[v]]) + log_ws]]
         z = np.nonzero(vals == 0)[0]
         if z.size:
-            a, y = int(a_all[i]), int(ys[int(z[0])])
-            return ApnVerdict(False, _lemma1_witness(form, a, y), "lemma1")
-    return ApnVerdict(True, None, "lemma1")
+            return int(a_all[i]), int(ys[int(z[0])])
+    return None
+
+
+def is_apn_lemma1(form: Form1) -> ApnVerdict:
+    """Direct scan of the derivative condition on trace-zero points.
+
+    APN iff L1(a^3 y) + L2(a^9 (y^4+y^2+y)) != 0 for every a != 0 and every
+    nonzero trace-zero y.
+    """
+    pair = _lemma1_pair(form)
+    if pair is None:
+        return ApnVerdict(True, None, "lemma1")
+    return ApnVerdict(False, _lemma1_witness(form, *pair), "lemma1")
 
 
 def is_apn_tcondition(form: Form1) -> ApnVerdict:
-    """Scan with the auxiliary t-element shortcut.
+    """Lemma 1 with the auxiliary t-element.
 
     A pair (a, y), y a nonzero trace-zero point, violates APN iff some
     trace-zero t solves L2(a^9 y^3 t) = L1(a^3 y) and at such a t
-    L2(a^9 (y^4 + t y^3 + y^2 + y)) = 0.  Per representative a, the t-free
-    part of that test runs over all y at once and the t-step is a batched
-    F2 solvability check over the y that pass it, _CHUNK of them at a time.
+    L2(a^9 (y^4 + t y^3 + y^2 + y)) = 0.  The t-step has a closed-form
+    solution: t = y + y^-1 + y^-2 has Tr(t) = Tr(y) = 0 and
+    y^3 t = y^4 + y^2 + y, so both equations reduce to Lemma 1's
+    L1(a^3 y) + L2(a^9 (y^4+y^2+y)) = 0, and the routes share its scan.  At
+    the first violating pair the two identities are checked, and a failure
+    raises InternalCheckFailed.
     """
+    pair = _lemma1_pair(form)
+    if pair is None:
+        return ApnVerdict(True, None, "tcondition")
+    a, y = pair
     ctx = form.ctx
-    n = ctx.n
-    l1 = form.L1.lut()
-    l2 = form.L2.lut()
-    ys, _, log_ys, log_ws = _trace_zero_points(ctx)
-    exp, log = ctx.antilog_table, ctx.log_table
-    p3 = ctx.pow_table(3)
-    y3 = p3[ys]
-    e = 1 << np.arange(n, dtype=np.int64)
-    trace_row = int(f2.transpose(ctx.trace_table()[e], 1)[0])  # bit j = Tr(e_j)
-    a_all, v_all = _coset_reps(ctx)
-    for i in range(len(v_all)):
-        v = int(v_all[i])
-        w = int(p3[v])
-        rhs = l1[exp[int(log[v]) + log_ys]]
-        # L2 is F2-linear, so at every solution t of L2(w y^3 t) = rhs
-        # L2(w(y^4 + t y^3 + y^2 + y)) = L2(w(y^4 + y^2 + y)) + rhs, whatever t is.
-        cand = np.nonzero(l2[exp[int(log[w]) + log_ws]] == rhs)[0]
-        for lo in range(0, cand.size, _CHUNK):
-            yi = cand[lo : lo + _CHUNK]
-            # t -> L2(w y^3 t) as n rows, then Tr(t) = 0 as a row with right-hand side 0
-            cols = l2[ctx.mulv(ctx.mulcv(w, y3[yi])[:, None], e)]
-            rows = np.column_stack([f2.transpose(cols, n), np.full(yi.size, trace_row)])
-            hit = np.nonzero(f2.batch_solvable(rows, rhs[yi], n))[0]
-            if hit.size:
-                a, y = int(a_all[i]), int(ys[yi[hit[0]]])
-                return ApnVerdict(False, _lemma1_witness(form, a, y), "tcondition")
-    return ApnVerdict(True, None, "tcondition")
+    y_inv = ctx.inv(y)
+    t = y ^ y_inv ^ ctx.mul(y_inv, y_inv)
+    if ctx.trace(t) or ctx.mul(ctx.pow(y, 3), t) != ctx.pow(y, 4) ^ ctx.pow(y, 2) ^ y:
+        raise InternalCheckFailed(f"t = y + y^-1 + y^-2 does not solve the t-step at a={a}, y={y}")
+    return ApnVerdict(False, _lemma1_witness(form, a, y), "tcondition")
 
 
 # -- quick-reject filters ------------------------------------------------------

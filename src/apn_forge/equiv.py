@@ -253,39 +253,29 @@ class InvariantProfile:
         }
 
 
-def profile(
-    F: VBF,
-    with_ranks=False,
-    allow_large=False,
-    with_ortho=True,
-    with_gamma3=False,
-    assume_quadratic=False,
-):
-    """Compute all applicable invariants of one function.
+def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
+    """Compute the spectral invariants of one function.
 
     Ortho-derivative spectra are filled in exactly when the ortho derivative
-    exists (quadratic APN, F(0)=0); rank invariants are opt-in, and the
-    GF(3) translate rank is the escalation step for pairs the binary
-    invariants cannot split.
+    exists (quadratic APN, F(0)=0); the GF(3) translate rank is the
+    escalation step for pairs the binary invariants cannot split.  The graph
+    and difference-set ranks stay None here: gamma_rank and delta_rank
+    compute them on their own.
     """
     p = InvariantProfile(ext_walsh=extended_walsh(F), diff_spectrum=diff_spectrum(F))
-    if with_ranks:
-        p.gamma_rank = gamma_rank(F, allow_large)
-        p.delta_rank = delta_rank(F, allow_large)
-    if with_ortho:
-        try:
-            od = ortho_derivative(F, assume_quadratic=assume_quadratic)
-        except (NotQuadratic, NotQuadraticApn):
-            od = None
-        if od is not None:
-            p.ortho_diff_spectrum = diff_spectrum(od)
-            p.ortho_walsh_spectrum = extended_walsh(od)
+    try:
+        od = ortho_derivative(F, assume_quadratic=assume_quadratic)
+    except (NotQuadratic, NotQuadraticApn):
+        pass
+    else:
+        p.ortho_diff_spectrum = diff_spectrum(od)
+        p.ortho_walsh_spectrum = extended_walsh(od)
     if with_gamma3:
         p.gamma3_rank = gamma3_rank(F)
     return p
 
 
-def partition(funcs, profiles=None, **opts):
+def partition(funcs, profiles=None):
     """Group functions by invariant profile.
 
     Distinct buckets certify pairwise inequivalence.  A bucket holding more
@@ -293,7 +283,7 @@ def partition(funcs, profiles=None, **opts):
     not prove equivalence.  Returns a list of dicts sorted by first member.
     """
     if profiles is None:
-        profiles = [profile(F, **opts) for F in funcs]
+        profiles = [profile(F) for F in funcs]
     buckets = {}
     for i, (F, p) in enumerate(zip(funcs, profiles)):
         buckets.setdefault(p.key(), []).append(i)

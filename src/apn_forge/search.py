@@ -130,10 +130,10 @@ def _int_at_least(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
-def _coeff_rows(job: SearchJob, ctx, lo, hi):
-    """Coefficient rows (c1, c2), each of shape (hi - lo, n), of candidates lo..hi-1."""
+def _coeff_rows(job: SearchJob, ctx, indices):
+    """Coefficient rows (c1, c2), each of shape (len(indices), n), of the candidates indices."""
     n = ctx.n
-    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+    idx = np.asarray(indices, dtype=np.int64)[:, None]
     shifts = np.arange(n, dtype=np.int64)
     if job.shape == "form1_binary":
         return (idx >> shifts) & 1, (idx >> (n + shifts)) & 1
@@ -149,10 +149,15 @@ def _coeff_rows(job: SearchJob, ctx, lo, hi):
     return c1, np.broadcast_to(shifts == 0, c1.shape).astype(np.int64)  # L2(x) = x
 
 
-def _decode(job: SearchJob, ctx, index):
-    """Candidate index -> Form1."""
-    c1, c2 = _coeff_rows(job, ctx, index, index + 1)
-    return Form1(LinearizedPoly(ctx, c1[0]), LinearizedPoly(ctx, c2[0]))
+def _candidates(job: SearchJob, ctx, indices):
+    """(index, c1, c2, hex) per candidate of indices, decoded WALK_PAIRS at a time;
+    hex holds the hex coefficient lists the records show: [L] or [L1, L2]."""
+    for lo in range(0, len(indices), apn.WALK_PAIRS):
+        idx = indices[lo : lo + apn.WALK_PAIRS]
+        c1, c2 = (c.tolist() for c in _coeff_rows(job, ctx, idx))
+        shown = zip(c1) if job.shape.startswith("x9") else zip(c1, c2)
+        hexes = [[[format(c, "x") for c in row] for row in rows] for rows in shown]
+        yield from zip(idx.tolist(), c1, c2, hexes)
 
 
 # Verdicts in code order; a scan keeps one uint8 code per candidate.
@@ -180,16 +185,9 @@ def _classify_rows(job: SearchJob, ctx, c1, c2):
     return codes
 
 
-def _coeff_text(job: SearchJob, form: Form1):
-    """Hex coefficients, "L" or "L1;L2": the summary's form of a candidate."""
-    if job.shape.startswith("x9"):
-        return form.L1.to_text()
-    return form.L1.to_text() + ";" + form.L2.to_text()
-
-
-def _record_line(job: SearchJob, ctx, coeff_text, verdict, profile_dict):
+def _record_line(job: SearchJob, ctx, hexes, verdict, profile_dict):
     keys = ("L",) if job.shape.startswith("x9") else ("L1", "L2")
-    rec = dict(zip(keys, (part.split(",") for part in coeff_text.split(";"))))
+    rec = dict(zip(keys, hexes))
     rec.update(shape=job.shape, n=ctx.n, verdict=verdict, profile=profile_dict)
     return json.dumps(rec, sort_keys=True)
 
@@ -205,13 +203,11 @@ def _init_worker(job_json):
 
 
 def _run_range(bounds):
-    lo, hi = bounds
     job, ctx = _worker_job, _worker_ctx
+    idx = np.arange(*bounds)
     # one walk's rows at a time bounds the memory
-    starts = range(lo, hi, apn.WALK_PAIRS)
-    return np.concatenate(
-        [_classify_rows(job, ctx, *_coeff_rows(job, ctx, s, min(s + apn.WALK_PAIRS, hi))) for s in starts]
-    )
+    rows = (_coeff_rows(job, ctx, idx[s : s + apn.WALK_PAIRS]) for s in range(0, len(idx), apn.WALK_PAIRS))
+    return np.concatenate([_classify_rows(job, ctx, c1, c2) for c1, c2 in rows])
 
 
 @dataclass
@@ -285,8 +281,9 @@ def run(job: SearchJob, out_path=None, workers=1):
     re-verify the hits on their realized tables (naive oracle at n <= 8, the
     quadratic test over every a above; InternalCheckFailed on a refuted hit),
     classify up to PROFILE_HIT_LIMIT hits at n <= 10, write the records
-    (sorted JSON lines) to out_path when given.  Each hit is decoded once;
-    only its coefficient text, which the summary lists anyway, is kept.
+    (sorted JSON lines) to out_path when given.  Records and the summary's
+    hit text ("L" or "L1;L2") are built from the coefficient rows, decoded a
+    batch at a time; of a hit only its hex coefficient lists are kept.
     Worker count never changes the output: ranges are merged in index order
     and lines sorted.
     """
@@ -300,13 +297,12 @@ def run(job: SearchJob, out_path=None, workers=1):
     profiling = 0 < counts[APN] <= PROFILE_HIT_LIMIT and ctx.n <= 10
     hits = {}
     funcs = []
-    for i in (job.cursor + np.nonzero(codes == APN)[0]).tolist():
-        form = _decode(job, ctx, i)
-        F = form.realize()
+    for i, c1, c2, hexes in _candidates(job, ctx, job.cursor + np.nonzero(codes == APN)[0]):
+        F = Form1(LinearizedPoly(ctx, c1), LinearizedPoly(ctx, c2)).realize()
         check = apn.is_apn_naive(F) if ctx.n <= 8 else apn.is_apn_quadratic(F, assume_quadratic=True)
         if not check.is_apn:
             raise InternalCheckFailed(f"hit {i} failed re-verification")
-        hits[i] = _coeff_text(job, form)
+        hits[i] = hexes
         if profiling:
             funcs.append(F)
 
@@ -320,11 +316,10 @@ def run(job: SearchJob, out_path=None, workers=1):
         hit_profiles = {i: p.as_dict() for i, p in zip(hits, profiles)}
 
     if out_path:
-        lines = [_record_line(job, ctx, text, "apn", hit_profiles.get(i)) for i, text in hits.items()]
+        lines = [_record_line(job, ctx, hexes, "apn", hit_profiles.get(i)) for i, hexes in hits.items()]
         if job.record == "all":
-            for i in np.nonzero(codes != APN)[0].tolist():
-                text = _coeff_text(job, _decode(job, ctx, job.cursor + i))
-                lines.append(_record_line(job, ctx, text, VERDICTS[codes[i]], None))
+            for i, _, _, hexes in _candidates(job, ctx, job.cursor + np.nonzero(codes != APN)[0]):
+                lines.append(_record_line(job, ctx, hexes, VERDICTS[codes[i - job.cursor]], None))
         lines.sort()
         with open(out_path, "w") as fh:
             for line in lines:
@@ -334,7 +329,7 @@ def run(job: SearchJob, out_path=None, workers=1):
         job=job,
         total=total - job.cursor,
         verdicts=verdict_counts,
-        hits=list(hits.values()),
+        hits=[";".join(",".join(h) for h in hexes) for hexes in hits.values()],
         bucket_count=bucket_count,
         unresolved=unresolved,
         seconds=time.time() - t0,

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from apn_forge import apn, catalog, equiv, linmap, search
 from apn_forge.errors import DimensionTooLarge, NotQuadraticApn
 from apn_forge.field import mk_field
+from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import VBF, Form1, power_map
 
 
@@ -75,9 +77,9 @@ def test_gamma3_separates_n5_classes(ctx5):
 def test_gamma3_rank_n6_pin(ctx6):
     # index 10 is the first APN hit of the n = 6 form1_random job with seed 1
     job = search.SearchJob(field="n=6", shape="form1_random", sample_count=2000, seed=1)
-    form = search._decode(job, ctx6, 10)
-    assert search._coeff_text(job, form) == "27,1e,6,9,3b,35;b,d,16,29,28,9"
-    assert equiv.gamma3_rank(form.realize()) == 1974
+    [(_, c1, c2, hexes)] = search._candidates(job, ctx6, np.array([10]))
+    assert ";".join(",".join(h) for h in hexes) == "27,1e,6,9,3b,35;b,d,16,29,28,9"
+    assert equiv.gamma3_rank(Form1(LinearizedPoly(ctx6, c1), LinearizedPoly(ctx6, c2)).realize()) == 1974
 
 
 def test_ortho_derivative_gold(ctx5):

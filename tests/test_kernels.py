@@ -1,5 +1,6 @@
 """Property tests: each shared kernel against its scalar definition."""
 
+import random
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apn_forge import apn, equiv, f2, linmap, spectral, vbf
-from apn_forge.errors import NonBinaryCoefficients, PreconditionViolated
+from apn_forge.errors import InternalCheckFailed, NonBinaryCoefficients, PreconditionViolated
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import VBF, Form1, bilinear_table, ddt_row_blocks, deriv_basis_table, gram_elements
@@ -335,6 +336,26 @@ def test_tcondition_matches_lemma1_verdict_and_witness(form):
     assert (t.is_apn, t.witness) == (l1.is_apn, l1.witness)
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_closed_form_t_solves_the_t_step(n):
+    # t = y + y^-1 + y^-2 at every nonzero trace-zero y: Tr(t) = 0 and y^3 t = y^4 + y^2 + y
+    ctx = mk_field(n)
+    ys = ctx.trace_zero_nonzero()
+    inv = ctx.invv(ys)
+    t = ys ^ inv ^ ctx.mulv(inv, inv)
+    assert not ctx.trace_table()[t].any()
+    assert np.array_equal(ctx.mulv(ctx.pow_table(3)[ys], t), ctx.pow_table(4)[ys] ^ ctx.pow_table(2)[ys] ^ ys)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_tcondition_rejects_a_pair_off_the_trace_zero_points(n):
+    ctx = mk_field(n)
+    y = next(y for y in range(1, ctx.order) if ctx.trace(y))
+    with mock.patch.object(apn, "_lemma1_pair", lambda form: (1, y)):
+        with pytest.raises(InternalCheckFailed, match="t-step"):
+            apn.is_apn_tcondition(_gold(n))
+
+
 @PROPERTY
 @given(form1_batches(st.sampled_from([4, 6, 8, 12])))
 def test_filter_scans_match_quick_rejects(batch):
@@ -367,6 +388,31 @@ def test_filter_scans_match_quick_rejects(batch):
         assert (reject and reject.data) == ({"a": int(a_all[i]), "beta": betas[t]} if zeros else None)
 
 
+def _lemma1_value(form, a, y):
+    """L1(a^3 y) + L2(a^9 (y^4 + y^2 + y)) by scalar evaluation."""
+    ctx = form.ctx
+    w = ctx.pow(y, 4) ^ ctx.pow(y, 2) ^ y
+    return form.L1.eval(ctx.mul(ctx.pow(a, 3), y)) ^ form.L2.eval(ctx.mul(ctx.pow(a, 9), w))
+
+
+@PROPERTY
+@given(form1_batches(st.sampled_from([6, 12])))
+def test_filter_rejections_are_lemma1_zeros(batch):
+    # the filters are Lemma 1 at a fixed trace-zero y: nonzero at y = 1, beta at y = beta_t
+    ctx, c1, c2 = batch
+    a_all, _ = apn._coset_reps(ctx)
+    betas = apn._subfield8_trace_zero(ctx)
+    assert ctx.trace(1) == 0 and not any(ctx.trace(b) for b in betas)
+    for form, j, f in zip(_forms(ctx, c1, c2), apn.nonzero_scan(ctx, c1, c2), apn.beta_scan(ctx, c1)):
+        if j >= 0:
+            assert _lemma1_value(form, int(a_all[j]), 1) == 0
+        if f >= 0:
+            t, i = divmod(int(f), len(a_all))
+            assert _lemma1_value(form, int(a_all[i]), betas[t]) == 0
+        if j >= 0 or f >= 0:
+            assert not apn.is_apn_lemma1(form).is_apn
+
+
 @PROPERTY
 @given(st.data())
 def test_lut_compose_and_apply_images_match_eval(data):
@@ -385,6 +431,41 @@ def test_lut_compose_and_apply_images_match_eval(data):
     assert [L.compose(M).eval(x) for x in xs] == [L.eval(M.eval(x)) for x in xs]
     images = linmap.basis_images(ctx, [L.coeffs, M.coeffs])
     assert linmap.apply_images(images, np.array(xs)).tolist() == [L.lut()[xs].tolist(), M.lut()[xs].tolist()]
+
+
+@PROPERTY
+@given(st.data())
+def test_adjoint_matches_eval(data):
+    # Tr(L(x) y) = Tr(x L*(y)) on every pair up to n = 5, on 16 x 16 sampled pairs above
+    n = data.draw(st.integers(2, 10))
+    ctx = mk_field(n)
+    L = LinearizedPoly(ctx, data.draw(elements(n, n)))
+    adj = L.adjoint()
+    pts = range(ctx.order) if n <= 5 else data.draw(elements(n, 16))
+    lx = [(x, L.eval(x)) for x in pts]
+    for y in pts:
+        ay = adj.eval(y)
+        assert [ctx.trace(ctx.mul(v, y)) for _, v in lx] == [ctx.trace(ctx.mul(x, ay)) for x, _ in lx]
+    assert adj.adjoint().coeffs == L.coeffs
+
+
+@PROPERTY
+@given(st.data())
+def test_profile_is_ea_invariant(data):
+    # a random EA transform, shifted back to G(0) = 0, where the ortho derivative is defined
+    n = data.draw(st.integers(4, 6))
+    ctx = mk_field(n)
+    gold = data.draw(st.booleans())
+    F = (_gold(n) if gold else Form1(*(LinearizedPoly(ctx, data.draw(elements(n, n))) for _ in range(2)))).realize()
+    G = equiv.random_ea_transform(F, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    G = VBF(ctx, G.lut ^ G.lut[0])
+    with_gamma3 = n <= 5 and data.draw(st.booleans())
+    pf, pg = (equiv.profile(H, with_gamma3=with_gamma3, assume_quadratic=True) for H in (F, G))
+    assert pf.key() == pg.key()
+    assert (pf.gamma_rank, pf.delta_rank) == (None, None)
+    assert (pf.gamma3_rank is None) != with_gamma3
+    if gold:
+        assert pf.ortho_diff_spectrum is not None
 
 
 @PROPERTY

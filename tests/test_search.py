@@ -178,10 +178,10 @@ def test_resume_cursor(tmp_path):
 
 _REFUTE_UNDER_O = """
 import pytest
-from apn_forge import apn, search
+from apn_forge import apn, linmap, search
 from apn_forge.errors import InternalCheckFailed
 from apn_forge.field import mk_field
-from apn_forge.vbf import power_map
+from apn_forge.vbf import Form1, power_map
 
 assert not __debug__
 verifies = apn.Witness.verifies
@@ -194,6 +194,9 @@ with pytest.raises(InternalCheckFailed, match="re-verification"):
     search.run(search.SearchJob(field="n=4", shape="x9_plus_L_binary"))
 with pytest.raises(InternalCheckFailed, match="disagree"):
     search.reproduce_table3(ns=[4])
+apn._lemma1_pair = lambda form: (1, 1)  # Tr(1) = 1 at n = 5: 1 is not a trace-zero point
+with pytest.raises(InternalCheckFailed, match="t-step"):
+    apn.is_apn_tcondition(Form1(linmap.identity(mk_field(5)), linmap.zero(mk_field(5))))
 """
 
 
