@@ -1,6 +1,6 @@
 """The deterministic search engine and the canned result pipelines.
 
-Run:  python demos/05_search_reproduction.py  (about a minute)
+Run:  python demos/05_search_reproduction.py  (about 2 s on one x86-64 core)
 """
 
 from apn_forge import search

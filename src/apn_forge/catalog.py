@@ -6,7 +6,7 @@ under mk_field(n).
 """
 
 from . import linmap
-from .errors import ApnForgeError
+from .errors import ApnForgeError, ParseError
 from .field import mk_field
 from .vbf import Form1, UnivariatePoly, from_univariate, power_map
 
@@ -112,11 +112,17 @@ def builtin(name):
     """
     from .apn import family
 
+    def number(text, base=10):
+        try:
+            return int(text, base)
+        except ValueError:
+            raise ParseError(f"{text!r} is not a number in builtin alias {name!r}") from None
+
     if name == "dillon6":
         F = dillon6()
         return F.ctx, F
     if name.startswith("gold3"):
-        n = int(name.split("n=")[1]) if "n=" in name else 6
+        n = number(name.split("n=")[1]) if "n=" in name else 6
         ctx = mk_field(n)
         return ctx, power_map(ctx, 3)
     if name.startswith("tr9"):
@@ -128,17 +134,24 @@ def builtin(name):
                 if key == "a":
                     a_spec = val
                 elif key == "n":
-                    n = int(val)
+                    n = number(val)
         ctx = mk_field(n)
         if a_spec.startswith("a^"):
-            a = ctx.alpha_pow(int(a_spec[2:]))
+            a = ctx.alpha_pow(number(a_spec[2:]))
         elif a_spec == "a":
             a = ctx.alpha
         else:
-            a = int(a_spec, 0)
+            a = number(a_spec, 0)
+        if not 0 <= a < ctx.order:
+            raise ParseError(f"a={a_spec} is not an element of GF(2^{n})")
         return ctx, family("tr9", ctx, a)
     if name.startswith("t3:"):
-        _, n_s, idx_s = name.split(":")
-        form = x9_rep(int(n_s), int(idx_s))
+        parts = name.split(":")
+        if len(parts) != 3:
+            raise ParseError(f"builtin alias {name!r} is not t3:<n>:<index>")
+        n, i = number(parts[1]), number(parts[2])
+        if not 0 <= i < len(X9L_REPRESENTATIVES.get(n, ())):
+            raise ParseError(f"no catalogued representative {i} at n={n}")
+        form = x9_rep(n, i)
         return form.ctx, form.realize()
     raise ApnForgeError(f"unknown builtin alias {name!r}")

@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import apn, catalog, search, spectral
-from .errors import ApnForgeError
+from .errors import ApnForgeError, OddDimension, ParseError
 from .expr import parse_univariate
 from .field import parse_field_spec
 from .linmap import LinearizedPoly
@@ -39,7 +39,9 @@ def _resolve_function(args):
     if args.lut:
         return ctx, load_lut(ctx, args.lut), None
     if args.form1:
-        l1_text, _, l2_text = args.form1.partition(";")
+        l1_text, sep, l2_text = args.form1.partition(";")
+        if not sep:
+            raise ParseError(f"--form1 {args.form1!r} is not L1;L2")
         form = Form1(
             LinearizedPoly.from_text(ctx, l1_text),
             LinearizedPoly.from_text(ctx, l2_text),
@@ -80,8 +82,6 @@ def cmd_test(args):
 
 
 def cmd_spectral(args):
-    from .errors import OddDimension
-
     ctx, F, form = _resolve_function(args)
     if args.bent and ctx.n % 2:
         raise OddDimension("bent components are defined for even n only")
@@ -97,7 +97,12 @@ def cmd_spectral(args):
     if args.sums:
         payload["sums"] = {str(a): s for a, s in sorted(sums.items())}
     if args.component is not None:
-        lam = int(args.component, 0)
+        try:
+            lam = int(args.component, 0)
+        except ValueError:
+            lam = -1
+        if not 0 <= lam < ctx.order:
+            raise ParseError(f"--component {args.component!r} is not an element of GF(2^{ctx.n})")
         w = spectral.wht(F.component(lam), ctx)
         payload["spectrum"] = [int(v) for v in w.values]
 
@@ -228,10 +233,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ApnForgeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ApnForgeError, OSError) as e:  # OSError: a path that is missing, a directory or unreadable
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -4,12 +4,8 @@ Encoding: bit j of the integer is the coefficient of x^j, so
 x^6+x^4+x^3+x+1 is 0b1011011 = 0x5B.
 
 The embedded table was generated with :func:`compute_conway` below and is
-re-derivable in tests.  The default can be overridden per process with the
-``APN_FORGE_CONWAY_TABLE`` environment variable pointing at a text file of
-``<degree> <hex-modulus>`` lines.
+re-derivable in tests.
 """
-
-import os
 
 CONWAY_GF2 = {
     1: 0x3,
@@ -33,8 +29,6 @@ CONWAY_GF2 = {
     19: 0x80027,
     20: 0x1006F3,
 }
-
-_ENV_VAR = "APN_FORGE_CONWAY_TABLE"
 
 
 def poly_mulmod(a, b, f, n):
@@ -130,24 +124,3 @@ def compute_conway(max_n=20):
             raise RuntimeError(f"no Conway polynomial found for degree {n}")
     return table
 
-
-def _load_override(path):
-    table = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            deg, mod = line.split()
-            table[int(deg)] = int(mod, 16)
-    return table
-
-
-def default_modulus(n):
-    """Modulus used by mk_field when none is given (env override wins)."""
-    path = os.environ.get(_ENV_VAR)
-    if path:
-        table = _load_override(path)
-        if n in table:
-            return table[n]
-    return CONWAY_GF2[n]

@@ -71,16 +71,14 @@ def _incidence_rank(points, n2):
     return f2.rank(row for _, row in _incidence_rows(points, n2))
 
 
-def _check_rank_dim(ctx, allow_large):
-    if ctx.n > 8:
-        raise DimensionTooLarge(f"rank invariants are unsupported for n={ctx.n} > 8")
-    if ctx.n == 8 and not allow_large:
-        raise DimensionTooLarge("n = 8 rank computation requires explicit opt-in")
+def _check_rank_dim(ctx):
+    if ctx.n >= 8:
+        raise DimensionTooLarge(f"rank invariants are unsupported for n={ctx.n} >= 8")
 
 
-def gamma_rank(F: VBF, allow_large=False):
+def gamma_rank(F: VBF):
     """F2-rank of the incidence matrix of the translated function graph."""
-    _check_rank_dim(F.ctx, allow_large)
+    _check_rank_dim(F.ctx)
     n = F.ctx.n
     graph = [(x << n) | int(F.lut[x]) for x in range(F.ctx.order)]
     return _incidence_rank(graph, 2 * n)
@@ -95,9 +93,9 @@ def _difference_set(F: VBF):
     return np.concatenate(parts)
 
 
-def delta_rank(F: VBF, allow_large=False):
+def delta_rank(F: VBF):
     """Like gamma_rank but over the difference set {(a,b) : a != 0, DDT[a][b] > 0}."""
-    _check_rank_dim(F.ctx, allow_large)
+    _check_rank_dim(F.ctx)
     return _incidence_rank(_difference_set(F), 2 * F.ctx.n)
 
 
@@ -256,15 +254,16 @@ class InvariantProfile:
 def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
     """Compute the spectral invariants of one function.
 
-    Ortho-derivative spectra are filled in exactly when the ortho derivative
-    exists (quadratic APN, F(0)=0); the GF(3) translate rank is the
-    escalation step for pairs the binary invariants cannot split.  The graph
-    and difference-set ranks stay None here: gamma_rank and delta_rank
-    compute them on their own.
+    Ortho-derivative spectra are those of F + F(0), so adding a constant
+    never changes the profile; they are filled in exactly when F is
+    quadratic APN.  The GF(3) translate rank is the escalation step for
+    pairs the binary invariants cannot split.  The graph and difference-set
+    ranks stay None here: gamma_rank and delta_rank compute them on their
+    own.
     """
     p = InvariantProfile(ext_walsh=extended_walsh(F), diff_spectrum=diff_spectrum(F))
     try:
-        od = ortho_derivative(F, assume_quadratic=assume_quadratic)
+        od = ortho_derivative(VBF(F.ctx, F.lut ^ F(0)) if F(0) else F, assume_quadratic=assume_quadratic)
     except (NotQuadratic, NotQuadraticApn):
         pass
     else:

@@ -77,12 +77,16 @@ class BadLut(ApnForgeError):
     """A lookup table of the wrong length, or with an entry that is not a field element."""
 
 
+class BadCoefficients(ApnForgeError):
+    """A coefficient list of the wrong length, or with an entry that is not a field element."""
+
+
 class InternalCheckFailed(ApnForgeError):
     """A result failed its re-verification by an independent route."""
 
 
 class ParseError(ApnForgeError):
-    """Raised by the univariate expression parser; carries a position."""
+    """Input text that does not parse; carries a position when one is known."""
 
     def __init__(self, message, pos=None):
         super().__init__(message if pos is None else f"{message} (at position {pos})")

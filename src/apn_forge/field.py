@@ -11,7 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .conway import default_modulus, is_irreducible_poly, poly_mulmod, prime_factors
+from .conway import CONWAY_GF2, is_irreducible_poly, poly_mulmod, poly_powmod, prime_factors
 from .errors import (
     DivisionByZero,
     InternalCheckFailed,
@@ -37,7 +37,7 @@ class FieldCtx:
         if not MIN_DEGREE <= n <= MAX_DEGREE:
             raise UnsupportedDegree(f"extension degree {n} outside [{MIN_DEGREE}, {MAX_DEGREE}]")
         if modulus is None:
-            modulus = default_modulus(n)
+            modulus = CONWAY_GF2[n]
         if modulus >> n != 1:
             raise ReducibleModulus(f"modulus 0x{modulus:X} does not have degree exactly {n}")
         if not is_irreducible_poly(modulus, n):
@@ -95,9 +95,7 @@ class FieldCtx:
         N = self.mult_order
         qs = prime_factors(N)
         for g in range(2, self.order):
-            if all(
-                _poly_pow(g, N // q, self.modulus, self.n) != 1 for q in qs
-            ):
+            if all(poly_powmod(g, N // q, self.modulus, self.n) != 1 for q in qs):
                 return g
         raise ReducibleModulus(f"0x{self.modulus:X} admits no generator")  # pragma: no cover
 
@@ -268,16 +266,6 @@ class FieldCtx:
         return f"FieldCtx(n={self.n}, modulus=0x{self.modulus:X}, alpha=0x{self.alpha:X})"
 
 
-def _poly_pow(a, e, f, n):
-    r = 1
-    while e:
-        if e & 1:
-            r = poly_mulmod(r, a, f, n)
-        e >>= 1
-        a = poly_mulmod(a, a, f, n)
-    return r
-
-
 @lru_cache(maxsize=None)
 def _cached_ctx(n, modulus):
     return FieldCtx(n, modulus)
@@ -295,7 +283,7 @@ def mk_field(n, modulus=None):
     if modulus is None:
         if not MIN_DEGREE <= n <= MAX_DEGREE:
             raise UnsupportedDegree(f"extension degree {n} outside [{MIN_DEGREE}, {MAX_DEGREE}]")
-        modulus = default_modulus(n)
+        modulus = CONWAY_GF2[n]
     return _cached_ctx(n, modulus)
 
 

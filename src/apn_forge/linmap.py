@@ -10,14 +10,16 @@ import random
 import numpy as np
 
 from . import f2
-from .errors import ContextMismatch, InternalCheckFailed
+from .errors import BadCoefficients, ContextMismatch, InternalCheckFailed, ParseError
 
 
 class LinearizedPoly:
     def __init__(self, ctx, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != ctx.n:
-            raise ValueError(f"need {ctx.n} coefficients, got {len(coeffs)}")
+            raise BadCoefficients(f"need {ctx.n} coefficients, got {len(coeffs)}")
+        if not 0 <= min(coeffs) <= max(coeffs) < ctx.order:
+            raise BadCoefficients(f"coefficients {list(map(hex, coeffs))} are not all elements of GF(2^{ctx.n})")
         self.ctx = ctx
         self.coeffs = coeffs
         self._lut = None
@@ -106,7 +108,11 @@ class LinearizedPoly:
 
     @classmethod
     def from_text(cls, ctx, text):
-        return cls(ctx, [int(tok, 16) for tok in text.split(",")])
+        try:
+            coeffs = [int(tok, 16) for tok in text.split(",")]
+        except ValueError:
+            raise ParseError(f"{text!r} is not a comma-separated list of hex coefficients") from None
+        return cls(ctx, coeffs)
 
     def __repr__(self):
         return f"LinearizedPoly({self.to_text()})"

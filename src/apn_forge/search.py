@@ -192,18 +192,8 @@ def _record_line(job: SearchJob, ctx, hexes, verdict, profile_dict):
     return json.dumps(rec, sort_keys=True)
 
 
-_worker_job = None
-_worker_ctx = None
-
-
-def _init_worker(job_json):
-    global _worker_job, _worker_ctx
-    _worker_job = SearchJob.from_json(job_json)
-    _worker_ctx = _worker_job.ctx()
-
-
-def _run_range(bounds):
-    job, ctx = _worker_job, _worker_ctx
+def _run_range(job: SearchJob, bounds):
+    ctx = job.ctx()
     idx = np.arange(*bounds)
     # one walk's rows at a time bounds the memory
     rows = (_coeff_rows(job, ctx, idx[s : s + apn.WALK_PAIRS]) for s in range(0, len(idx), apn.WALK_PAIRS))
@@ -246,12 +236,10 @@ def _scan(job: SearchJob, total, workers):
         (lo, min(lo + chunk, total)) for lo in range(job.cursor, total, chunk)
     ]
     if workers > 1 and len(ranges) > 1:
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(workers, initializer=_init_worker, initargs=(job.to_json(),)) as pool:
-            parts = pool.map(_run_range, ranges)
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = pool.starmap(_run_range, [(job, r) for r in ranges])
     else:
-        _init_worker(job.to_json())
-        parts = [_run_range(r) for r in ranges]
+        parts = [_run_range(job, r) for r in ranges]
     return np.concatenate([np.zeros(0, dtype=np.uint8)] + parts)
 
 
@@ -363,7 +351,7 @@ def conjecture_batch(ctx, l1_coeffs, l2_coeffs):
 
 def reproduce(target, **opts):
     """Run a named reproduction pipeline and return a report dict."""
-    if target in ("dims_scan", "dims-scan"):
+    if target == "dims_scan":
         return reproduce_dims_scan(**opts)
     if target == "table3":
         return reproduce_table3(**opts)
@@ -371,16 +359,16 @@ def reproduce(target, **opts):
         return reproduce_dillon()
     if target == "conjecture":
         return reproduce_conjecture(**opts)
-    if target in ("ep08", "ep08_consistency"):
+    if target == "ep08":
         return reproduce_ep08()
     raise ValueError(f"unknown reproduction target {target!r}")
 
 
-def reproduce_dims_scan(max_n=16, min_n=4):
+def reproduce_dims_scan(max_n=16):
     """Dimensions where x^9 + Tr(x^3) is APN."""
     items = []
     found = []
-    for n in range(min_n, max_n + 1):
+    for n in range(4, max_n + 1):
         ctx = mk_field(n)
         form = Form1(linmap.trace_map(ctx), linmap.identity(ctx))
         t0 = time.time()
@@ -388,7 +376,7 @@ def reproduce_dims_scan(max_n=16, min_n=4):
         if verdict.is_apn:
             found.append(n)
         items.append({"n": n, "apn": verdict.is_apn, "seconds": round(time.time() - t0, 3)})
-    expected = sorted(catalog.X9_TR3_APN_DIMS & set(range(min_n, max_n + 1)))
+    expected = sorted(catalog.X9_TR3_APN_DIMS & set(range(4, max_n + 1)))
     return {
         "target": "dims_scan",
         "items": items,

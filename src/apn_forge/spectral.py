@@ -60,14 +60,10 @@ def F0(f: BooleanFunction):
     return (1 << f.n) - 2 * f.weight()
 
 
-def is_bent(f: BooleanFunction, ctx=None, spectrum=None):
+def is_bent(f: BooleanFunction):
     if f.n % 2:
         return False
-    if spectrum is None:
-        w = fwht(f.to_signs())
-    else:
-        w = spectrum.values
-    return bool(np.all(np.abs(w) == 1 << (f.n // 2)))
+    return bool(np.all(np.abs(fwht(f.to_signs())) == 1 << (f.n // 2)))
 
 
 # -- quadratic component structure ------------------------------------------
@@ -126,7 +122,7 @@ def bent_components(F: VBF):
         return int(np.count_nonzero(dims[1:] == 0))
     count = 0
     for lam in range(1, ctx.order):
-        if is_bent(F.component(lam), ctx):
+        if is_bent(F.component(lam)):
             count += 1
     return count
 

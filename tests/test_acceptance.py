@@ -170,7 +170,7 @@ def test_criterion_06_bent_count_relation_evidence(tmp_path):
             failures.append(f"n={e['n']} index {e['index']} failed re-verification")
         if k < 8:
             bent_wht = sum(
-                spectral.is_bent(F.component(lam), ctx) for lam in range(1, ctx.order)
+                spectral.is_bent(F.component(lam)) for lam in range(1, ctx.order)
             )
             if bent_wht != e["bent"]:
                 failures.append(f"n={e['n']} index {e['index']} Walsh bent recount")

@@ -170,6 +170,29 @@ def test_malformed_lut_exits_2(tmp_path, capsys, text, match):
         assert_usage_error(capsys, cmd, "-f", "n=2", "--lut", str(path), match=match)
 
 
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (("test", "-f", "n=4", "--form1", "zz;1"), "'zz' is not a comma-separated list"),
+        (("test", "-f", "n=4", "--form1", "1,2;1"), "need 4 coefficients, got 2"),
+        (("test", "-f", "n=4", "--form1", "1,0,0,0"), "is not L1;L2"),
+        (("test", "-f", "n=4", "--form1", "100,0,0,0;1,0,0,0"), "not all elements of GF(2^4)"),
+        (("test", "-f", "n=4", "--lut", "."), "Is a directory"),
+        (("test", "--builtin", "gold3@n=x"), "'x' is not a number"),
+        (("test", "--builtin", "tr9@a=zz"), "'zz' is not a number"),
+        (("test", "--builtin", "tr9@a=a^x"), "'x' is not a number"),
+        (("test", "--builtin", "tr9@a=0x100,n=4"), "a=0x100 is not an element of GF(2^4)"),
+        (("test", "--builtin", "t3:6:9"), "no catalogued representative 9 at n=6"),
+        (("test", "--builtin", "t3:x"), "is not t3:<n>:<index>"),
+        (("spectral", "-f", "n=4", "-u", "x^3", "--component", "zz"), "'zz' is not an element"),
+        (("spectral", "-f", "n=4", "-u", "x^3", "--component", "0x100"), "'0x100' is not an element"),
+    ],
+)
+def test_malformed_function_exits_2(capsys, argv, match):
+    # in process, a traceback would be an exception escaping main and failing the test
+    assert_usage_error(capsys, *argv, match=match)
+
+
 def test_search_job_file_unknown_key(tmp_path, capsys):
     job_path = tmp_path / "job.json"
     job_path.write_text(json.dumps({"field": "n=4", "shape": "x9_plus_L_binary", "bogus": 1}))

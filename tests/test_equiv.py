@@ -50,9 +50,12 @@ def test_rank_invariance_and_regression(ctx5):
     assert equiv.gamma_rank(power_map(mk_field(6), 3)) == 1102
 
 
-def test_rank_dimension_guard(ctx8):
-    with pytest.raises(DimensionTooLarge):
-        equiv.gamma_rank(power_map(ctx8, 3))
+def test_rank_dimension_guard():
+    for n in (8, 9):
+        F = power_map(mk_field(n), 3)
+        for rank in (equiv.gamma_rank, equiv.delta_rank):
+            with pytest.raises(DimensionTooLarge):
+                rank(F)
 
 
 def test_gamma_rank_separates_n6_classes():
@@ -122,6 +125,14 @@ def test_partition_duplicates_and_apn_consistency(ctx6):
         assert len(verdicts) == 1
     dup_bucket = next(b for b in buckets if len(b["members"]) == 2)
     assert not dup_bucket["unresolved"]  # identical tables are not a collision
+
+
+def test_partition_ignores_an_added_constant(ctx5):
+    # x^3 and x^3 + 1 are EA-equivalent: one bucket, which cannot be certified
+    F = power_map(ctx5, 3)
+    buckets = equiv.partition([F, VBF(ctx5, F.lut ^ 1)])
+    assert len(buckets) == 1 and buckets[0]["unresolved"]
+    assert buckets[0]["profile"].ortho_diff_spectrum is not None
 
 
 def test_partition_table_counts_small():

@@ -25,19 +25,29 @@ def test_conway_entries_primitive_and_compatible():
         assert conway.is_irreducible_poly(f, n)
 
 
-def test_conway_env_override(tmp_path, monkeypatch):
+def test_default_modulus_ignores_environment(tmp_path, monkeypatch):
     path = tmp_path / "table.txt"
-    path.write_text("# alt modulus for degree 4\n4 0x19\n")
+    other = {  # x^2 + x + 1 is the only irreducible quadratic
+        n: next(f for f in range(1 << n | 1, 2 << n, 2) if f != conway.CONWAY_GF2[n] and conway.is_irreducible_poly(f, n))
+        for n in range(3, 21)
+    }
+    path.write_text("".join(f"{n} 0x{f:X}\n" for n, f in other.items()))
     monkeypatch.setenv("APN_FORGE_CONWAY_TABLE", str(path))
-    assert conway.default_modulus(4) == 0x19
-    assert conway.default_modulus(6) == 0x5B  # falls back to embedded
-    ctx = FieldCtx(4)  # bypass mk_field cache
-    assert ctx.modulus == 0x19
+    for n in range(2, 21):
+        assert FieldCtx(n).modulus == conway.CONWAY_GF2[n]  # bypass mk_field cache
 
 
 def test_custom_modulus_accepted():
     ctx = mk_field(4, 0x13)
     assert ctx.modulus == 0x13
+
+
+def test_non_primitive_modulus_finds_a_generator():
+    # x^4+x^3+x^2+x+1 is irreducible, but x has order 5 modulo it
+    ctx = FieldCtx(4, 0x1F)
+    assert ctx.alpha == 0x3  # x + 1, the smallest generator
+    assert sorted(int(v) for v in ctx.antilog_table[:15]) == list(range(1, 16))
+    assert all(ctx.mul(a, b) == conway.poly_mulmod(a, b, 0x1F, 4) for a in range(16) for b in range(16))
 
 
 def test_reducible_modulus_rejected():

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -119,6 +120,27 @@ def test_determinism_across_runs_and_workers(tmp_path):
     assert file_hash(p1) == file_hash(p2) == file_hash(p3)
     # the bytes are pinned across versions too, not only across runs
     assert file_hash(p1) == "42f2da6be68253ed271f8d91b4d01e14b2df7543779179a24be9959330372508"
+
+
+def test_worker_pool_records_match_one_worker(tmp_path, monkeypatch):
+    # 1024 candidates split into 3 ranges, so workers=3 runs them in the fork pool;
+    # at n = 10 every filter rejects some and one is a hit, so misplaced verdicts show
+    job = SearchJob(field="n=10", shape="x9_plus_L_binary", record="all")
+    contexts = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        contexts.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    one, pool = tmp_path / "one.jsonl", tmp_path / "pool.jsonl"
+    search.run(job, out_path=one, workers=1)
+    assert contexts == []
+    search.run(job, out_path=pool, workers=3)
+    assert contexts == ["fork"]
+    assert one.read_bytes() == pool.read_bytes()
+    assert len(one.read_text().splitlines()) == 1024
 
 
 def test_record_format(tmp_path):
