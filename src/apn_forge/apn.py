@@ -153,12 +153,16 @@ def _sq_shift_points(ctx):
 
 def _form1_cols(ctx, b1, b2, vs):
     """cols[s, i, j] = L1(v_i u2_j) + L2(v_i^3 u8_j): the linearized derivative of
-    each row pair at a with a^3 = v_i, on the basis, rescaled by a."""
+    each row pair at a with a^3 = v_i, on the basis, rescaled by a.
+
+    b1 holds the basis images of the L1 rows or, as a bool array, their 0/1
+    coefficients, which linmap.apply_binary applies without images.  b2 may
+    hold one row, shared by every row of b1."""
     u2, u8 = _sq_shift_points(ctx)
     vs = np.asarray(vs)[:, None]
-    return linmap.apply_images(b1, ctx.mulv(vs, u2)) ^ linmap.apply_images(
-        b2, ctx.mulv(ctx.pow_table(3)[vs], u8)
-    )
+    p1 = ctx.mulv(vs, u2)
+    cols1 = linmap.apply_binary(ctx, b1, p1) if b1.dtype == bool else linmap.apply_images(b1, p1)
+    return cols1 ^ linmap.apply_images(b2, ctx.mulv(ctx.pow_table(3)[vs], u8))
 
 
 @cache
@@ -205,18 +209,23 @@ def _first_bad(ctx, c1, c2, vs):
     Rows are taken WALK_PAIRS at a time, and each slice walks vs in doubling
     blocks over its surviving rows only, at most WALK_PAIRS
     (row, representative) pairs a block.  Most rows fail at one of the first
-    few representatives.
+    few representatives.  A slice whose L1 coefficients are all 0 or 1 needs
+    no basis images of L1.  When every L2 row of a slice is the same (the
+    x^9 + L(x^3) shapes have L2(x) = x), its images are taken once, and their
+    term of _form1_cols has one row that broadcasts over the slice.
     """
     n = ctx.n
     first = np.full(len(c1), -1, dtype=np.int64)
     for lo in range(0, len(c1), WALK_PAIRS):
-        b1 = linmap.basis_images(ctx, c1[lo : lo + WALK_PAIRS])
-        b2 = linmap.basis_images(ctx, c2[lo : lo + WALK_PAIRS])
+        s1, s2 = c1[lo : lo + WALK_PAIRS], c2[lo : lo + WALK_PAIRS]
+        b1 = s1.astype(bool) if s1.max(initial=0) <= 1 else linmap.basis_images(ctx, s1)
+        shared = (s2 == s2[0]).all()
+        b2 = linmap.basis_images(ctx, s2[:1] if shared else s2)
         alive = np.arange(len(b1))
         start, width = 0, 1
         while alive.size and start < len(vs):
             width = min(width, max(1, WALK_PAIRS // alive.size), len(vs) - start)
-            cols = _form1_cols(ctx, b1[alive], b2[alive], vs[start : start + width])
+            cols = _form1_cols(ctx, b1[alive], b2 if shared else b2[alive], vs[start : start + width])
             bad = (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(len(alive), width)
             hit = bad.any(axis=1)
             first[lo + alive[hit]] = start + bad[hit].argmax(axis=1)

@@ -135,7 +135,16 @@ def cmd_spectral(args):
     return 0
 
 
+def _at_least_one(args, *names):
+    """Reject a count option given below 1; None means it was not given."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ApnForgeError(f"--{name} must be at least 1, got {value}")
+
+
 def cmd_search(args):
+    _at_least_one(args, "workers")
     if args.job:
         with open(args.job) as fh:
             job = search.SearchJob.from_json(fh.read())
@@ -160,18 +169,20 @@ def cmd_search(args):
 
 
 def cmd_reproduce(args):
+    _at_least_one(args, "samples", "workers")
     target = args.target.replace("-", "_")
     opts = {}
     if target == "dims_scan":
         opts["max_n"] = args.max_n
     elif target == "table3":
-        if args.n:
+        if args.n is not None:
             opts["ns"] = [args.n]
-        opts["n9_samples"] = args.samples if args.samples else 1_000_000
+        if args.samples is not None:
+            opts["n9_samples"] = args.samples
         opts["seed"] = args.seed
         opts["workers"] = args.workers
     elif target == "conjecture":
-        if args.samples:
+        if args.samples is not None:
             opts["sample_counts"] = {6: args.samples, 8: args.samples}
         opts["seed"] = args.seed
         if args.out:

@@ -122,11 +122,14 @@ def basis_images(ctx, coeffs):
     """L(e_j) for e_j = 2^j, for each coefficient row of coeffs (shape (..., n)).
 
     One pass per coefficient keeps the temporaries at the size of the result.
+    When every coefficient is 0 or 1 the field product is a select, an
+    integer product with no log/antilog gather.
     """
     c = np.asarray(coeffs, dtype=np.int64)
+    mul = np.multiply if c.max(initial=0) <= 1 else ctx.mulv
     out = np.zeros(c.shape, dtype=np.int64)
     for i in range(ctx.n):
-        out ^= ctx.mulv(c[..., i, None], ctx.frobenius_basis[i])
+        out ^= mul(c[..., i, None], ctx.frobenius_basis[i])
     return out
 
 
@@ -144,6 +147,20 @@ def apply_images(images, points):
     out = np.zeros(images.shape[:1] + points.shape, dtype=dt)
     for j in range(n):
         out ^= images[..., j] * ((points >> j) & 1)
+    return out
+
+
+def apply_binary(ctx, coeffs, points):
+    """out[s, ...] = L_s(points) = XOR_k c_sk points^(2^k) for 0/1 coefficient
+    rows: no basis images and no field products, only n squarings of the
+    points.  Same dtype as apply_images."""
+    points = np.asarray(points)
+    dt = np.min_scalar_type(ctx.order - 1)
+    c = np.asarray(coeffs).astype(dt).reshape((len(coeffs),) + (1,) * points.ndim + (ctx.n,))
+    out = np.zeros(c.shape[:1] + points.shape, dtype=dt)
+    for k in range(ctx.n):
+        out ^= c[..., k] * points.astype(dt)
+        points = ctx.pow_table(2)[points]
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import apn, catalog, equiv, linmap, spectral
-from .errors import InternalCheckFailed, InvalidJob, JobTooLarge
+from .errors import BadDimension, InternalCheckFailed, InvalidJob, JobTooLarge
 from .field import mk_field, parse_field_spec
 from .linmap import LinearizedPoly
 from .vbf import Form1, bilinear_table
@@ -388,8 +388,12 @@ def reproduce_dims_scan(max_n=16):
 
 def reproduce_table3(ns=None, n9_samples=1_000_000, seed=0, workers=1):
     """Verify the catalogued x^9+L(x^3) representatives and class counts."""
+    known = sorted(catalog.X9L_REPRESENTATIVES)
     if ns is None:
-        ns = list(range(4, 11))
+        ns = known
+    for n in ns:
+        if n not in known:
+            raise BadDimension(f"table3 catalogues n = {', '.join(map(str, known))}, not n = {n}")
     items = []
     ok_all = True
     for n in ns:

@@ -217,6 +217,29 @@ def test_reproduce_cli(capsys):
     assert code == 0 and json.loads(out)["bent_components"] == 46
 
 
+@pytest.mark.parametrize("n", ["3", "11"])
+def test_reproduce_table3_rejects_uncatalogued_n(capsys, n):
+    # exit 1 would read as "ok=False"; the error names the catalogued n
+    code, out, err = run_cli(capsys, "reproduce", "table3", "--n", n)
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith("error:") and "n = 4, 5, 6, 7, 8, 9, 10" in err
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["reproduce", "conjecture", "--samples", "0"], "--samples"),
+        (["reproduce", "table3", "--n", "5", "--samples", "0"], "--samples"),
+        (["search", "--n", "5", "--workers", "0"], "--workers"),
+        (["search", "--n", "5", "--workers", "-3"], "--workers"),
+        (["reproduce", "table3", "--n", "5", "--workers", "0"], "--workers"),
+    ],
+)
+def test_counts_below_one_exit_2(capsys, argv, match):
+    # 0 is a count that was given, not an unset option
+    assert_usage_error(capsys, *argv, match=match)
+
+
 def test_reproduce_conjecture_exit_code(capsys):
     # converse counterexamples at n=8 are findings, not failures
     code, out, _ = run_cli(capsys, "reproduce", "conjecture", "--samples", "3000", "--format", "json")

@@ -306,6 +306,76 @@ def test_form1_rank_scan_walks_every_representative_of_a_non_binary_row(n):
     assert first.tolist() == [_reference_first_bad(f) for f in _forms(ctx, c1, c2)]
 
 
+def _eval_at_basis(ctx, rows):
+    return [[LinearizedPoly(ctx, r).eval(1 << j) for j in range(ctx.n)] for r in rows]
+
+
+@PROPERTY
+@given(st.data())
+def test_basis_images_and_apply_binary_of_binary_rows_match_eval(data):
+    n = data.draw(st.integers(2, 20))
+    ctx = mk_field(n)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=4))
+    rows += [[0] * n, [1] * n]  # the zero map and the trace
+    assert linmap.basis_images(ctx, rows).tolist() == _eval_at_basis(ctx, rows)
+    xs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=8))
+    out = linmap.apply_binary(ctx, np.array(rows), np.array(xs))
+    assert out.tolist() == [[LinearizedPoly(ctx, r).eval(x) for x in xs] for r in rows]
+    assert linmap.basis_images(ctx, np.zeros((0, n), dtype=np.int64)).shape == (0, n)
+
+
+@PROPERTY
+@given(st.data())
+def test_basis_images_with_one_coefficient_above_1_takes_field_products(data):
+    n = data.draw(st.integers(2, 20))
+    ctx = mk_field(n)
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    r, i = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, n - 1))
+    rows[r][i] = data.draw(st.integers(2, ctx.order - 1))
+    assert linmap.basis_images(ctx, rows).tolist() == _eval_at_basis(ctx, rows)
+
+
+@st.composite
+def x9_batches(draw):
+    """x^9 + L(x^3) rows at n = 3..12 (L2(x) = x in every row), with L binary
+    (x9_plus_L_binary) or over the whole field (x9_plus_L_full)."""
+    n = draw(st.integers(3, 12))
+    c1 = _draw_rows(draw, n, draw(st.integers(1, 6)))
+    return mk_field(n), c1, np.array([[1] + [0] * (n - 1)] * len(c1))
+
+
+@PROPERTY
+@given(x9_batches())
+@example(_batch_of(_X9_TR3[1], _X9_TR3[1]))
+def test_form1_rank_scan_with_a_shared_l2_matches_full_walk(batch):
+    ctx, c1, c2 = batch
+    assert apn.form1_rank_scan(ctx, c1, c2).tolist() == [_reference_first_bad(f) for f in _forms(ctx, c1, c2)]
+
+
+def test_form1_rank_scan_across_slices_with_and_without_a_shared_l2():
+    # Slice 1 shares L2(x) = x; slice 2 starts with two equal L2 rows but does
+    # not share; slice 3 shares another L2.  Rows come from a small pool so the
+    # reference walks run once per distinct row pair.
+    ctx = mk_field(5)
+    rng = np.random.default_rng(15)
+    pool1 = rng.integers(2, ctx.order, size=(24, 5))  # never binary: one full walk for all rows
+    pool2 = rng.integers(0, ctx.order, size=(6, 5))
+    size = apn.WALK_PAIRS
+    c1 = pool1[rng.integers(0, len(pool1), size=3 * size - 100)]
+    c2 = np.empty_like(c1)
+    c2[:size] = [1, 0, 0, 0, 0]
+    c2[size : 2 * size] = pool2[rng.integers(0, len(pool2), size=size)]
+    c2[size : size + 2] = pool2[0]
+    c2[2 * size :] = pool2[1]
+    ref = {}
+    for f in _forms(ctx, c1, c2):
+        key = (f.L1.coeffs, f.L2.coeffs)
+        if key not in ref:
+            ref[key] = _reference_first_bad(f)
+    expected = [ref[(tuple(a), tuple(b))] for a, b in zip(c1.tolist(), c2.tolist())]
+    assert apn.form1_rank_scan(ctx, c1, c2).tolist() == expected
+
+
 @st.composite
 def form1s_by_l2_rank(draw):
     """Form1 at n = 4..10 with L1 binary or random, and L2 invertible,

@@ -170,6 +170,16 @@ def test_even_n_filter_pins(tmp_path):
     assert not s.hits
 
 
+def test_shared_l2_full_pin(tmp_path):
+    # x9_plus_L_full: every row has L2(x) = x and most L1 rows are not binary;
+    # its 6 hits fall into 2 profile buckets after the GF(3) escalation
+    job = SearchJob(field="n=5", shape="x9_plus_L_full", sample_count=5000, seed=1, record="all")
+    path = tmp_path / "records.jsonl"
+    s = search.run(job, out_path=path)
+    assert file_hash(path) == "d53974c7f1703da3c614a7edbf6be177dd312769afb268aac0b8b7dec4263b8d"
+    assert s.verdicts == {"apn": 6, "fail": 4994} and s.bucket_count == 2
+
+
 def test_record_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     import importlib.resources as res
