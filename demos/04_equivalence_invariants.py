@@ -1,6 +1,6 @@
 """Equivalence-class invariants: spectra, ortho derivatives, graph ranks.
 
-Run:  python demos/04_equivalence_invariants.py  (about 1 s on one x86-64 core)
+Run:  python demos/04_equivalence_invariants.py  (about 0.8 s on one x86-64 core)
 """
 
 from apn_forge import catalog, equiv, mk_field

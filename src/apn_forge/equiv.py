@@ -99,79 +99,23 @@ def delta_rank(F: VBF):
     return _incidence_rank(_difference_set(F), 2 * F.ctx.n)
 
 
-def _f3_add(P, N, rows, w, wp, wn):
-    """Add the GF(3) vector with planes (wp, wn) to the given rows of (P, N), from word w on.
+def _component_labels(s, t, size):
+    """One label per node of the graph on range(size) with edges (s[i], t[i]):
+    the root node of its connected component, so lab[root] == root.
 
-    Entries are bit-sliced: P marks the entries equal to 1 and N those equal
-    to 2.  With x = (xp, xn), x + 1 = (~(xp | xn), xp) and x + 2 = (xn, ~(xp | xn)),
-    and xp | xn = xp ^ xn, so over every column at once
-    sum_p = (xp & ~wn) ^ (xn & (wp | wn)) ^ wp and
-    sum_n = (xp & (wp | wn)) ^ (xn & ~wp) ^ wn.
+    Each pass hooks the label of one end of every edge to the smaller of the
+    two labels, then follows labels to their roots.
     """
-    nonzero = wp | wn
-    xp, xn = P[rows, w:], N[rows, w:]
-    sp = xp & ~wn
-    t = xn & nonzero
-    sp ^= t
-    sp ^= wp
-    xp &= nonzero
-    xn &= ~wp
-    xn ^= xp
-    xn ^= wn
-    P[rows, w:] = sp
-    N[rows, w:] = xn
-
-
-def _f3_eliminate(P, N):
-    """GF(3) rank of the bit-sliced matrix with planes (P, N), by forward elimination in place.
-
-    Columns are taken in order, one word of 64 at a time: the lowest set bit
-    of the OR over the live rows is the next pivot column, so empty columns
-    cost nothing.  A row whose entry there equals the pivot's subtracts the
-    pivot row, any other nonzero row adds it; only the words from the
-    pivot's word on change.
-    """
-    rows, words = P.shape
-    r = 0
-    for w in range(words):
-        while r < rows:
-            cn = N[r:, w]
-            live = P[r:, w] | cn
-            occ = int(np.bitwise_or.reduce(live))
-            if occ == 0:
-                break
-            bit = np.uint64(occ & -occ)
-            hit = np.flatnonzero(live & bit)
-            twos = (cn[hit] & bit) != 0
-            piv = r + hit[0]
-            if piv != r:
-                P[[r, piv], w:] = P[[piv, r], w:]
-                N[[r, piv], w:] = N[[piv, r], w:]
-            if hit.size > 1:
-                same = twos[1:] == twos[0]
-                below = r + hit[1:]
-                pp, pn = P[r, w:], N[r, w:]
-                k = np.count_nonzero(same)
-                if k:
-                    _f3_add(P, N, below[same], w, pn, pp)
-                if k < same.size:
-                    _f3_add(P, N, below[~same], w, pp, pn)
-            r += 1
-    return r
-
-
-def _f3_rank(A):
-    """Rank over GF(3) of a dense integer matrix, by bit-sliced forward elimination.
-
-    Column j of each row goes to bit j % 64 of word j // 64 of its planes.
-    """
-    A = np.asarray(A) % 3
-    rows, cols = A.shape
-    planes = np.zeros((2, rows, 8 * -(-cols // 64)), dtype=np.uint8)
-    for plane, value in zip(planes, (1, 2)):
-        plane[:, : -(-cols // 8)] = np.packbits(A == value, axis=1, bitorder="little")
-    P, N = planes.view("<u8")
-    return _f3_eliminate(P, N)
+    lab = np.arange(size)
+    while True:
+        ls, lt = lab[s], lab[t]
+        if np.array_equal(ls, lt):
+            return lab
+        lo = np.minimum(ls, lt)
+        np.minimum.at(lab, ls, lo)
+        np.minimum.at(lab, lt, lo)
+        while not np.array_equal(lab[lab], lab):
+            lab = lab[lab]
 
 
 def gamma3_rank(F: VBF):
@@ -184,17 +128,43 @@ def gamma3_rank(F: VBF):
     CCZ invariant.  The rank over GF(3) separates classes whose binary
     invariants all coincide (notably the two classes on GF(2^5), where every
     function is almost bent and all standard spectra are forced).
+
+    Defined for quadratic APN F only (else NotQuadratic or NotQuadraticApn).
+    Over GF(3), with G = F + F(0), pi its ortho-derivative, eps(a) =
+    Tr(pi(a) G(a)) and R_v = {0} + pi^-1(v) (R_0 the whole space): Hadamard
+    transforms inside row block a (the b with Tr(pi(a) b) = eps(a)) and column
+    block v (the Walsh support of component v, a coset of R_v^perp) leave a
+    signed graph on the vertices (v, a mod R_v), one edge per a != 0 and pair
+    {w, w' = w + pi(a)}, of parity 1 + eps(a) + l_w(a + rep_w(a)) +
+    l_w'(a + rep_w'(a)) with l_w(r) = Tr(w G(r)).  The rank is the number of
+    vertices on edges minus the number of balanced components.
     """
     ctx = F.ctx
     if ctx.n > 6:
         raise DimensionTooLarge("gamma3_rank is supported for n <= 6")
-    n = ctx.n
-    graph = (np.arange(ctx.order) << n) | F.lut
-    D = set(_difference_set(F).tolist())
-    width = 8 * -(-(1 << (2 * n)) // 64)
-    rows = b"".join(row.to_bytes(width, "little") for x, row in _incidence_rows(graph, 2 * n) if x in D)
-    P = np.frombuffer(rows, dtype="<u8").reshape(-1, width // 8).copy()
-    return _f3_eliminate(P, np.zeros_like(P))
+    q = ctx.order
+    el = ctx.elements()
+    g = F.lut ^ F(0)
+    p = ortho_derivative(VBF(ctx, g)).lut
+    tr = ctx.trace_table()
+    # rep[w, a] = min of a + R_w, where R_w = {0} + pi^-1(w) and R_0 is the whole space
+    rep = np.tile(el, (q, 1))
+    np.minimum.at(rep, p[1:], el[1:, None] ^ el)
+    rep[0] = 0
+    ell = tr[ctx.mulv(el[:, None], g[rep ^ el])]
+    eps = tr[ctx.mulv(p, g)]
+    a, w = np.nonzero(el < (el ^ p[:, None]))  # one edge per a != 0 and pair {w, w + pi(a)}
+    w2 = w ^ p[a]
+    flip = 1 ^ ell[w, a] ^ ell[w2, a] ^ eps[a]
+    # vertex (w, rep) is w * q + rep; vertices on no edge are balanced components of
+    # one vertex and cancel.  In the 2-lift, node 2x + s is vertex x with sign s, and
+    # a component is balanced iff its lift falls in two.
+    s, t = 2 * (w * q + rep[w, a]), 2 * (w2 * q + rep[w2, a]) + flip
+    lab = _component_labels(np.concatenate([s, s + 1]), np.concatenate([t, t ^ 1]), 2 * q * q)
+    node = np.arange(lab.size)
+    # each of the two roots of a balanced lift has its other sign under the other root
+    balanced = np.count_nonzero((lab == node) & (lab[node ^ 1] != node)) // 2
+    return int(q * q - balanced)
 
 
 def ortho_derivative(F: VBF, assume_quadratic=False) -> VBF:
@@ -256,10 +226,10 @@ def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
 
     Ortho-derivative spectra are those of F + F(0), so adding a constant
     never changes the profile; they are filled in exactly when F is
-    quadratic APN.  The GF(3) translate rank is the escalation step for
-    pairs the binary invariants cannot split.  The graph and difference-set
-    ranks stay None here: gamma_rank and delta_rank compute them on their
-    own.
+    quadratic APN.  So is the GF(3) translate rank, when with_gamma3 asks
+    for it: the escalation step for pairs the binary invariants cannot
+    split.  The graph and difference-set ranks stay None here: gamma_rank
+    and delta_rank compute them on their own.
     """
     p = InvariantProfile(ext_walsh=extended_walsh(F), diff_spectrum=diff_spectrum(F))
     try:
@@ -269,8 +239,8 @@ def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
     else:
         p.ortho_diff_spectrum = diff_spectrum(od)
         p.ortho_walsh_spectrum = extended_walsh(od)
-    if with_gamma3:
-        p.gamma3_rank = gamma3_rank(F)
+        if with_gamma3:
+            p.gamma3_rank = gamma3_rank(F)
     return p
 
 

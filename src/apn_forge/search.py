@@ -29,9 +29,10 @@ EXHAUSTIVE_LIMIT = 1 << 26
 # says little over thousands of hits (the 20160 at n = 4 are one class).
 PROFILE_HIT_LIMIT = 2048
 
-# GF(3) escalation runs only up to this many functions: one translate rank
-# eliminates a dense |D| x 4^n matrix, about 0.03 s at n = 5 and 0.85-1.2 s at
-# n = 6 (bit-sliced, one CPU core of a 2-core x86-64 machine).
+# GF(3) escalation runs only up to this many functions.  One translate rank is
+# a signed-graph count on the ortho-derivative, about 0.7 ms at n = 5 and
+# 1.3 ms at n = 6 (one CPU core of a 2-core x86-64 machine); the limit stays
+# because raising it would add ranks to the records of larger hit sets.
 ESCALATE_LIMIT = 64
 
 SHAPES = ("x9_plus_L_binary", "x9_plus_L_full", "form1_binary", "form1_random")

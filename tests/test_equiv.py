@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from apn_forge import apn, catalog, equiv, linmap, search
-from apn_forge.errors import DimensionTooLarge, NotQuadraticApn
+from apn_forge.errors import DimensionTooLarge, NotQuadratic, NotQuadraticApn
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import VBF, Form1, power_map
+
+import f3_oracle
 
 
 def test_extended_walsh_linear(ctx4):
@@ -56,6 +58,11 @@ def test_rank_dimension_guard():
         for rank in (equiv.gamma_rank, equiv.delta_rank):
             with pytest.raises(DimensionTooLarge):
                 rank(F)
+    F7 = power_map(mk_field(7), 3)
+    with pytest.raises(DimensionTooLarge):
+        equiv.gamma3_rank(F7)
+    with pytest.raises(DimensionTooLarge):
+        equiv.profile(F7, with_gamma3=True)
 
 
 def test_gamma_rank_separates_n6_classes():
@@ -73,6 +80,7 @@ def test_gamma3_separates_n5_classes(ctx5):
     F2 = Form1(linmap.trace_map(ctx5), linmap.identity(ctx5)).realize()
     assert equiv.gamma3_rank(F1) == 496
     assert equiv.gamma3_rank(F2) == 465
+    assert type(equiv.gamma3_rank(F1)) is int  # records serialize it as JSON
     rng = random.Random(3)
     assert equiv.gamma3_rank(equiv.random_ea_transform(F2, rng)) == 465
 
@@ -82,7 +90,26 @@ def test_gamma3_rank_n6_pin(ctx6):
     job = search.SearchJob(field="n=6", shape="form1_random", sample_count=2000, seed=1)
     [(_, c1, c2, hexes)] = search._candidates(job, ctx6, np.array([10]))
     assert ";".join(",".join(h) for h in hexes) == "27,1e,6,9,3b,35;b,d,16,29,28,9"
-    assert equiv.gamma3_rank(Form1(LinearizedPoly(ctx6, c1), LinearizedPoly(ctx6, c2)).realize()) == 1974
+    F = Form1(LinearizedPoly(ctx6, c1), LinearizedPoly(ctx6, c2)).realize()
+    assert equiv.gamma3_rank(F) == 1974
+    assert equiv.gamma3_rank(equiv.random_ea_transform(F, random.Random(6))) == 1974
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_gamma3_rank_n6_matches_elimination(index):
+    F = catalog.x9_rep(6, index).realize()
+    for G in (F, equiv.random_ea_transform(F, random.Random(index))):
+        assert equiv.gamma3_rank(G) == f3_oracle.translate_rank(G)
+
+
+def test_gamma3_rank_is_defined_for_quadratic_apn_only(ctx5, ctx6):
+    with pytest.raises(NotQuadratic):
+        equiv.gamma3_rank(power_map(ctx5, 7))
+    not_apn = VBF(ctx6, power_map(ctx6, 9).lut ^ 5)  # quadratic, plus a constant
+    with pytest.raises(NotQuadraticApn):
+        equiv.gamma3_rank(not_apn)
+    p = equiv.profile(not_apn, with_gamma3=True)
+    assert p.gamma3_rank is None and p.ortho_diff_spectrum is None
 
 
 def test_ortho_derivative_gold(ctx5):

@@ -1,5 +1,7 @@
 """Property tests: each shared kernel against its scalar definition."""
 
+import functools
+import math
 import random
 from unittest import mock
 
@@ -15,6 +17,8 @@ from apn_forge.errors import InternalCheckFailed, NonBinaryCoefficients, Precond
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import VBF, Form1, bilinear_table, ddt_row_blocks, deriv_basis_table, gram_elements
+
+import f3_oracle
 
 # Derandomized so every run tries the same examples; no example database is kept.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -528,11 +532,13 @@ def test_profile_is_ea_invariant(data):
     gold = data.draw(st.booleans())
     F = (_gold(n) if gold else Form1(*(LinearizedPoly(ctx, data.draw(elements(n, n))) for _ in range(2)))).realize()
     G = equiv.random_ea_transform(F, random.Random(data.draw(st.integers(0, 2**32 - 1))))
-    with_gamma3 = n <= 5 and data.draw(st.booleans())
+    with_gamma3 = data.draw(st.booleans())
     pf, pg = (equiv.profile(H, with_gamma3=with_gamma3, assume_quadratic=True) for H in (F, G))
     assert pf.key() == pg.key()
     assert (pf.gamma_rank, pf.delta_rank) == (None, None)
-    assert (pf.gamma3_rank is None) != with_gamma3
+    assert (pf.gamma3_rank is not None) == (with_gamma3 and pf.ortho_diff_spectrum is not None)
+    if pf.gamma3_rank is not None:
+        assert pf.gamma3_rank == equiv.gamma3_rank(F)
     if gold:
         assert pf.ortho_diff_spectrum is not None
 
@@ -593,4 +599,26 @@ def f3_matrices(draw):
 @example(np.array([[1, 2], [2, 1], [1, 1]]))
 @example(np.random.default_rng(0).integers(-300, 300, size=(200, 200)))
 def test_f3_rank_matches_row_reduction(A):
-    assert equiv._f3_rank(A) == _f3_rank_reference(A)
+    assert f3_oracle.f3_rank(A) == _f3_rank_reference(A)
+
+
+@functools.cache
+def _quadratic_apn(n):
+    """The Gold functions and every APN x^9 + L(x^3) with 0/1 coefficients on GF(2^n)."""
+    ctx = mk_field(n)
+    golds = [vbf.power_map(ctx, (1 << i) + 1) for i in range(1, n) if math.gcd(i, n) == 1]
+    rows = ([(m >> j) & 1 for j in range(n)] for m in range(ctx.order))
+    form1 = (Form1(LinearizedPoly(ctx, row), linmap.identity(ctx)).realize() for row in rows)
+    return golds + [F for F in form1 if apn.is_apn_naive(F).is_apn]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.data())
+def test_gamma3_rank_matches_elimination(data):
+    # the signed-graph rank against elimination of the explicit |D| x 4^n matrix,
+    # on quadratic APN functions and their EA transforms, constants included
+    n = data.draw(st.integers(3, 5))
+    F = data.draw(st.sampled_from(_quadratic_apn(n)))
+    if data.draw(st.booleans()):
+        F = equiv.random_ea_transform(F, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    assert equiv.gamma3_rank(F) == f3_oracle.translate_rank(F)
