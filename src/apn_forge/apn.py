@@ -11,7 +11,10 @@ Every negative :class:`ApnVerdict` carries a materialized witness
 against the lookup table before it is returned.  Search verdicts carry no
 witness: the batched scans (:func:`form1_rank_scan` and the filter scans)
 take B coefficient rows and return, per row, only the index of the first
-representative that refutes it.
+representative that refutes it.  All three are one walk (:func:`_first_bad`)
+that evaluates L1(v p) + L2(v^3 q) at the representatives v, with no value
+tables: the rank test at the basis points (p, q) = (u2, u8), the nonzero
+filter at (1, 1) and the beta filter at (beta, 0).
 """
 
 import math
@@ -37,18 +40,12 @@ from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks
 
 _CHUNK = 4096
 
-# Rows per walk slice, and (row, index) pairs per block of a walk.  CPU s per
+# Rows per walk slice, and (row, index) pairs per block of the rank walk.  CPU s per
 # round of the binary x^9 + L(x^3) scan at n = 13 (8192 candidates, best of 5
 # rounds in each of 2 passes, 2 runs, 2-core x86-64): 256: 0.08-0.11, 512:
 # 0.04-0.07, 1024: 0.034-0.037, 2048: 0.030-0.035, 4096: 0.038-0.047 with 2 MB
 # more peak RSS, 8192: 0.05-0.07 with 7 MB more.
 WALK_PAIRS = 2048
-
-# Value-table entries per slice of a batched filter.  CPU s (3 interleaved
-# runs, 2 cores) of the binary scan at n = 14, 3000 form1_random samples at
-# n = 12 and 20000 at n = 8: 2^14: 1.6-2.3, 0.31-0.48, 0.11-0.18; 2^16:
-# 1.3-2.1, 0.14-0.23, 0.09-0.14; 2^18: 1.7-2.0, 0.25-0.32, 0.14-0.19.
-LUT_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -145,24 +142,37 @@ def _x2_plus_x_roots(ctx):
     return roots
 
 
-def _sq_shift_points(ctx):
-    """u2[j] = e_j^2+e_j and u8[j] = e_j^8+e_j on the polynomial basis."""
-    e = 1 << np.arange(ctx.n, dtype=np.int64)
-    return ctx.pow_table(2)[e] ^ e, ctx.pow_table(8)[e] ^ e
-
-
-def _form1_cols(ctx, b1, b2, vs):
-    """cols[s, i, j] = L1(v_i u2_j) + L2(v_i^3 u8_j): the linearized derivative of
-    each row pair at a with a^3 = v_i, on the basis, rescaled by a.
+def _form1_cols(ctx, b1, b2, vs, p, q):
+    """cols[s, i, j] = L1(v_i p_j) + L2(v_i^3 q_j) for each row pair.  At
+    (p, q) = (u2, u8) these are the linearized derivative at a with a^3 = v_i,
+    on the basis, rescaled by a; at (1, 1) and (beta, 0) they are the values
+    the nonzero and beta filters test.
 
     b1 holds the basis images of the L1 rows or, as a bool array, their 0/1
     coefficients, which linmap.apply_binary applies without images.  b2 may
     hold one row, shared by every row of b1."""
-    u2, u8 = _sq_shift_points(ctx)
     vs = np.asarray(vs)[:, None]
-    p1 = ctx.mulv(vs, u2)
+    p1 = ctx.mulv(vs, p)
     cols1 = linmap.apply_binary(ctx, b1, p1) if b1.dtype == bool else linmap.apply_images(b1, p1)
-    return cols1 ^ linmap.apply_images(b2, ctx.mulv(ctx.pow_table(3)[vs], u8))
+    return cols1 ^ linmap.apply_images(b2, ctx.mulv(ctx.pow_table(3)[vs], q))
+
+
+def _rank_test(ctx):
+    """The rank test as a walk's (p, q, bad, pairs): the columns at
+    u2[j] = e_j^2+e_j and u8[j] = e_j^8+e_j on the polynomial basis, bad where
+    their rank is not n - 1, at most WALK_PAIRS pairs a block."""
+    n, e = ctx.n, 1 << np.arange(ctx.n, dtype=np.int64)
+
+    def bad(cols):
+        return (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(cols.shape[:2])
+
+    return ctx.pow_table(2)[e] ^ e, ctx.pow_table(8)[e] ^ e, bad, WALK_PAIRS
+
+
+def _zero_test(ctx, p, q):
+    """A filter as a walk's (p, q, bad, pairs): bad where the one value L1(v p) + L2(v^3 q)
+    is 0, at most WALK_PAIRS * n^2 pairs a block, as many values as a rank block has bits."""
+    return np.array([p]), np.array([q]), lambda cols: cols[..., 0] == 0, WALK_PAIRS * ctx.n**2
 
 
 @cache
@@ -180,6 +190,23 @@ def _frobenius_leaders(ctx):
     return np.nonzero(first == np.arange(len(v_all)))[0]
 
 
+def _frobenius_walk(ctx, c1, c2, test):
+    """Per row pair, the index into the cube-coset representatives of the
+    first v at which test is bad, or -1.  test must give the same verdict at
+    v and v^2 on rows whose coefficients are all 0 or 1: such rows walk only
+    the first member of each v -> v^2 orbit, and the first bad member is the
+    first bad representative of the full walk."""
+    _, v_all = _coset_reps(ctx)
+    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    binary = ((c1 <= 1) & (c2 <= 1)).all(axis=1)
+    lead = _frobenius_leaders(ctx)
+    first = np.empty(len(c1), dtype=np.int64)
+    pos = _first_bad(ctx, c1[binary], c2[binary], v_all[lead], test)
+    first[binary] = np.where(pos < 0, -1, lead[pos])
+    first[~binary] = _first_bad(ctx, c1[~binary], c2[~binary], v_all, test)
+    return first
+
+
 def form1_rank_scan(ctx, c1, c2):
     """Per row pair of coefficients, the index into the cube-coset
     representatives of the first a whose linearized derivative has rank
@@ -187,34 +214,23 @@ def form1_rank_scan(ctx, c1, c2):
 
     The batched Form1 rank test; c1 and c2 have shape (B, n).  A row whose
     coefficients are all 0 or 1 commutes with squaring, F(x^2) = F(x)^2, so
-    its rank at v equals its rank at v^2.  Such rows walk only the first
-    member of each v -> v^2 orbit; the first failing member is the first
-    failing representative of the full walk, so the index is the same.
+    its rank at v equals its rank at v^2.
     """
-    _, v_all = _coset_reps(ctx)
-    c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
-    binary = ((c1 <= 1) & (c2 <= 1)).all(axis=1)
-    lead = _frobenius_leaders(ctx)
-    first = np.empty(len(c1), dtype=np.int64)
-    pos = _first_bad(ctx, c1[binary], c2[binary], v_all[lead])
-    first[binary] = np.where(pos < 0, -1, lead[pos])
-    first[~binary] = _first_bad(ctx, c1[~binary], c2[~binary], v_all)
-    return first
+    return _frobenius_walk(ctx, c1, c2, _rank_test(ctx))
 
 
-def _first_bad(ctx, c1, c2, vs):
-    """Per row pair, the index of the first v in vs at which the rank is not
-    n - 1, or -1.
+def _first_bad(ctx, c1, c2, vs, test):
+    """Per row pair, the index of the first v in vs at which test is bad, or -1.
 
-    Rows are taken WALK_PAIRS at a time, and each slice walks vs in doubling
-    blocks over its surviving rows only, at most WALK_PAIRS
-    (row, representative) pairs a block.  Most rows fail at one of the first
-    few representatives.  A slice whose L1 coefficients are all 0 or 1 needs
-    no basis images of L1.  When every L2 row of a slice is the same (the
-    x^9 + L(x^3) shapes have L2(x) = x), its images are taken once, and their
-    term of _form1_cols has one row that broadcasts over the slice.
+    test is (p, q, bad, pairs): bad maps the _form1_cols of a block at (p, q)
+    to a (row, v) bool array.  Rows are taken WALK_PAIRS at a time, and each
+    slice walks vs in doubling blocks over its surviving rows only, at most
+    pairs (row, v) pairs a block.  A slice whose L1 coefficients are all 0 or
+    1 needs no basis images of L1.  When every L2 row of a slice is the same
+    (the x^9 + L(x^3) shapes have L2(x) = x), its images are taken once, and
+    their term of _form1_cols has one row that broadcasts over the slice.
     """
-    n = ctx.n
+    p, q, bad, pairs = test
     first = np.full(len(c1), -1, dtype=np.int64)
     for lo in range(0, len(c1), WALK_PAIRS):
         s1, s2 = c1[lo : lo + WALK_PAIRS], c2[lo : lo + WALK_PAIRS]
@@ -224,11 +240,10 @@ def _first_bad(ctx, c1, c2, vs):
         alive = np.arange(len(b1))
         start, width = 0, 1
         while alive.size and start < len(vs):
-            width = min(width, max(1, WALK_PAIRS // alive.size), len(vs) - start)
-            cols = _form1_cols(ctx, b1[alive], b2 if shared else b2[alive], vs[start : start + width])
-            bad = (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(len(alive), width)
-            hit = bad.any(axis=1)
-            first[lo + alive[hit]] = start + bad[hit].argmax(axis=1)
+            width = min(width, max(1, pairs // alive.size), len(vs) - start)
+            block = bad(_form1_cols(ctx, b1[alive], b2 if shared else b2[alive], vs[start : start + width], p, q))
+            hit = block.any(axis=1)
+            first[lo + alive[hit]] = start + block[hit].argmax(axis=1)
             alive = alive[~hit]
             start += width
             width *= 2
@@ -269,7 +284,7 @@ def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
         return ApnVerdict(True, None, "quadratic")
     a_all, v_all = _coset_reps(ctx)
     b1, b2 = linmap.basis_images(ctx, c1), linmap.basis_images(ctx, c2)
-    z = _kernel_extra(_form1_cols(ctx, b1, b2, v_all[first : first + 1])[0, 0], 1)
+    z = _kernel_extra(_form1_cols(ctx, b1, b2, v_all[first : first + 1], *_rank_test(ctx)[:2])[0, 0], 1)
     a = int(a_all[first])
     return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
 
@@ -343,33 +358,6 @@ def is_apn_tcondition(form: Form1) -> ApnVerdict:
 # -- quick-reject filters ------------------------------------------------------
 
 
-# The batched filters take coefficient rows of shape (B, n) and, like
-# form1_rank_scan, return the first refuting index per row or -1.  A row that
-# passes must be checked at every representative, so they read value tables,
-# built for at most LUT_ENTRIES table entries at a time.
-
-
-def _first_zero(vals):
-    """Per row of vals, the index of its first zero, or -1."""
-    zero = vals == 0
-    j = zero.argmax(axis=1)
-    return np.where(zero[np.arange(len(j)), j], j, -1)
-
-
-def _by_tables(ctx, coeffs, fn):
-    """fn(*tables) over slices of the rows of each coefficient array, concatenated.
-
-    The tables hold int32, which every element of GF(2^20) fits: half the
-    memory traffic of int64 (about 40% less time at n = 14).
-    """
-    images = [linmap.basis_images(ctx, c).astype(np.int32) for c in coeffs]
-    step = max(1, LUT_ENTRIES // ctx.order)
-    out = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(images[0]), step):
-        out.append(fn(*(ctx.expand_linear(b[lo : lo + step]) for b in images)))
-    return np.concatenate(out)
-
-
 def parity_mask(c1, c2):
     """Rows the parity filter rejects: binary rows whose coefficients sum to an even number."""
     c = np.concatenate([np.asarray(c1), np.asarray(c2)], axis=1)
@@ -377,18 +365,26 @@ def parity_mask(c1, c2):
 
 
 def nonzero_scan(ctx, c1, c2):
-    """First cube-coset index j with F'(a_j) = L1(v_j) + L2(v_j^3) = 0, per row."""
-    _, v_all = _coset_reps(ctx)
-    w_all = ctx.pow_table(3)[v_all]
-    return _by_tables(ctx, (c1, c2), lambda l1, l2: _first_zero(l1[:, v_all] ^ l2[:, w_all]))
+    """Per row pair, the first cube-coset index j with F'(a_j) = L1(v_j) + L2(v_j^3) = 0,
+    or -1.  For 0/1 rows L1(v^2) + L2(v^6) = (L1(v) + L2(v^3))^2, so the zero
+    set is closed under v -> v^2 and such rows walk the Frobenius leaders."""
+    return _frobenius_walk(ctx, c1, c2, _zero_test(ctx, 1, 1))
 
 
 def beta_scan(ctx, c1):
-    """First t * k + i with L1(beta_t v_i) = 0, per row of L1 coefficients, over
-    the subfield-8 trace-zero beta_t and the cube-coset representatives v_i."""
+    """Per row of L1 coefficients, the first i with L1(beta v_i) = 0, or -1,
+    for v_i the cube-coset representatives and beta the first subfield-8
+    trace-zero element.
+
+    The filter's definition walks all three such beta_t, t-major, for the
+    first t * k + i.  It needs n even and 3 | n, so 21 | 2^n - 1 and every
+    beta_t is a cube: beta_t * {v_i} is the set of all nonzero cubes for each
+    t.  A zero at t > 0 is then also one at t = 0, so the first zero always
+    lies in the t = 0 block and its index is i.
+    """
     _, v_all = _coset_reps(ctx)
-    pts = ctx.mulv(np.array(_subfield8_trace_zero(ctx))[:, None], v_all).ravel()
-    return _by_tables(ctx, (c1,), lambda l1: _first_zero(l1[:, pts]))
+    c1 = np.asarray(c1, dtype=np.int64)
+    return _first_bad(ctx, c1, np.zeros_like(c1), v_all, _zero_test(ctx, _subfield8_trace_zero(ctx)[0], 0))
 
 
 def quick_reject_parity(form: Form1):
@@ -429,11 +425,9 @@ def quick_reject_beta(form: Form1):
     ctx = form.ctx
     if ctx.n % 2 or ctx.n % 3:
         raise BadDimension("beta filter needs n even and divisible by 3")
-    f = int(beta_scan(ctx, [form.L1.coeffs])[0])
-    if f >= 0:
-        a_all, _ = _coset_reps(ctx)
-        t, i = divmod(f, len(a_all))
-        return RejectWitness("beta", {"a": int(a_all[i]), "beta": _subfield8_trace_zero(ctx)[t]})
+    i = int(beta_scan(ctx, [form.L1.coeffs])[0])
+    if i >= 0:
+        return RejectWitness("beta", {"a": int(_coset_reps(ctx)[0][i]), "beta": _subfield8_trace_zero(ctx)[0]})
     return None
 
 

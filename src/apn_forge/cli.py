@@ -27,7 +27,11 @@ def _add_function_args(p):
 
 
 def _resolve_function(args):
-    """Returns (ctx, VBF, Form1 | None)."""
+    """Returns (ctx, VBF, Form1 | None) from exactly one function source."""
+    sources = {"-u": args.univariate, "--lut": args.lut, "--form1": args.form1, "--builtin": args.builtin}
+    given = [flag for flag, value in sources.items() if value]
+    if len(given) != 1:
+        raise ApnForgeError(f"give exactly one of {', '.join(sources)}, not {' and '.join(given) or 'none'}")
     if args.builtin:
         ctx, F = catalog.builtin(args.builtin)
         return ctx, F, None
@@ -47,7 +51,6 @@ def _resolve_function(args):
             LinearizedPoly.from_text(ctx, l2_text),
         )
         return ctx, form.realize(), form
-    raise ApnForgeError("no function given (use -u, --lut, --form1 or --builtin)")
 
 
 def _emit(payload, fmt, text_renderer=None):

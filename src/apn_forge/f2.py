@@ -81,6 +81,15 @@ def transpose(cols, nrows):
     return (bits << np.arange(c.shape[-1])).sum(axis=-1)
 
 
+def expand_linear(basis_values):
+    """Value tables (2^m entries, m = basis_values.shape[-1]) of the F2-linear maps e_j -> basis_values[..., j]."""
+    m = basis_values.shape[-1]
+    out = np.zeros(basis_values.shape[:-1] + (1 << m,), dtype=basis_values.dtype)
+    for j in range(m):
+        out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ basis_values[..., j, None]
+    return out
+
+
 def batch_rank(mat, ncols):
     """Ranks of a batch of bit matrices.
 

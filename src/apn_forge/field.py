@@ -11,6 +11,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import f2
 from .conway import CONWAY_GF2, is_irreducible_poly, poly_mulmod, poly_powmod, prime_factors
 from .errors import (
     DivisionByZero,
@@ -49,7 +50,7 @@ class FieldCtx:
         self.k = self.mult_order // 3 if n % 2 == 0 else None
 
         self._build_tables()
-        self._trace_bits = self.expand_linear(
+        self._trace_bits = f2.expand_linear(
             np.array([self._trace_slow(1 << j) for j in range(n)], dtype=np.uint8)
         )
         self._pow_cache = {}
@@ -105,13 +106,6 @@ class FieldCtx:
             acc ^= t
             t = poly_mulmod(t, t, self.modulus, self.n)
         return acc  # 0 or 1 once the sum telescopes
-
-    def expand_linear(self, basis_values):
-        """Value tables of the F2-linear maps sending e_j = 2^j to basis_values[..., j]."""
-        out = np.zeros(basis_values.shape[:-1] + (self.order,), dtype=basis_values.dtype)
-        for j in range(self.n):
-            out[..., 1 << j : 2 << j] = out[..., : 1 << j] ^ basis_values[..., j, None]
-        return out
 
     # -- scalar operations ------------------------------------------------
 

@@ -38,7 +38,7 @@ class LinearizedPoly:
     def lut(self):
         """Full value table, built once from the basis images by F2-linear doubling."""
         if self._lut is None:
-            self._lut = self.ctx.expand_linear(basis_images(self.ctx, self.coeffs))
+            self._lut = f2.expand_linear(basis_images(self.ctx, self.coeffs))
             self._lut.setflags(write=False)
         return self._lut
 
@@ -136,18 +136,17 @@ def basis_images(ctx, coeffs):
 def apply_images(images, points):
     """out[s, ...] = L_s(points) for the maps with L_s(e_j) = images[s, j].
 
-    Each point is split into its bits, so no value table is built: the cost is
-    n passes over an array of len(images) * points.size entries, held in the
-    narrowest unsigned dtype that fits n bits.
+    Each map gets two value tables, over the low h = ceil(n/2) bits of a point
+    and over the rest, so L_s(x) = low[s, x & (2^h - 1)] ^ high[s, x >> h]:
+    2 * 2^h table entries per map and two gathers per (map, point) pair,
+    held in the narrowest unsigned dtype that fits n bits.
     """
     n = images.shape[-1]
-    dt = np.min_scalar_type((1 << n) - 1)
-    points = np.asarray(points).astype(dt)
-    images = images.astype(dt).reshape(images.shape[:1] + (1,) * points.ndim + images.shape[1:])
-    out = np.zeros(images.shape[:1] + points.shape, dtype=dt)
-    for j in range(n):
-        out ^= images[..., j] * ((points >> j) & 1)
-    return out
+    h = (n + 1) // 2
+    images = images.astype(np.min_scalar_type((1 << n) - 1))
+    low, high = f2.expand_linear(images[:, :h]), f2.expand_linear(images[:, h:])
+    points = np.asarray(points)
+    return np.take(low, points & ((1 << h) - 1), axis=1) ^ np.take(high, points >> h, axis=1)
 
 
 def apply_binary(ctx, coeffs, points):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import apn, catalog, equiv, linmap, spectral
+from . import apn, catalog, equiv, f2, linmap, spectral
 from .errors import BadDimension, InternalCheckFailed, InvalidJob, JobTooLarge
 from .field import mk_field, parse_field_spec
 from .linmap import LinearizedPoly
@@ -338,7 +338,7 @@ def conjecture_batch(ctx, l1_coeffs, l2_coeffs):
     candidate is APN.  bent_counts counts the full-rank component forms
     (dim V_lambda == 0).
     """
-    l1, l2 = (ctx.expand_linear(linmap.basis_images(ctx, c)) for c in (l1_coeffs, l2_coeffs))
+    l1, l2 = (f2.expand_linear(linmap.basis_images(ctx, c)) for c in (l1_coeffs, l2_coeffs))
     luts = l1[:, ctx.pow_table(3)] ^ l2[:, ctx.pow_table(9)]
     phi = bilinear_table(luts, 1 << np.arange(ctx.n, dtype=np.int64))
     dims = spectral.radical_dims(ctx, phi)[:, 1:]

@@ -186,6 +186,8 @@ def test_malformed_lut_exits_2(tmp_path, capsys, text, match):
         (("test", "--builtin", "t3:x"), "is not t3:<n>:<index>"),
         (("spectral", "-f", "n=4", "-u", "x^3", "--component", "zz"), "'zz' is not an element"),
         (("spectral", "-f", "n=4", "-u", "x^3", "--component", "0x100"), "'0x100' is not an element"),
+        (("test", "--builtin", "dillon6", "-u", "x^3"), "not -u and --builtin"),
+        (("test", "-f", "n=4"), "not none"),
     ],
 )
 def test_malformed_function_exits_2(capsys, argv, match):

@@ -299,9 +299,9 @@ def test_form1_rank_scan_walks_every_representative_of_a_non_binary_row(n):
     walked = []
     real = apn._first_bad
 
-    def spy(ctx, c1, c2, vs):
+    def spy(ctx, c1, c2, vs, test):
         walked.append((c1.tolist(), len(vs)))
-        return real(ctx, c1, c2, vs)
+        return real(ctx, c1, c2, vs, test)
 
     with mock.patch.object(apn, "_first_bad", spy):
         first = apn.form1_rank_scan(ctx, c1, c2)
@@ -430,8 +430,18 @@ def test_tcondition_rejects_a_pair_off_the_trace_zero_points(n):
             apn.is_apn_tcondition(_gold(n))
 
 
+def _binary_filter_batch(n, rejected):
+    """0/1 rows past n = 12: the zero maps, the x^9 + L(x^3) scan's hit at
+    mask 0 (x^9, Gold), x^3 (Gold) and the x^9 + L(x^3) mask rejected."""
+    ctx = mk_field(n)
+    x9 = [Form1(linmap.from_mask(ctx, m), linmap.identity(ctx)) for m in (0, rejected)]
+    return _batch_of(Form1(linmap.zero(ctx), linmap.zero(ctx)), x9[0], _gold(n), x9[1])
+
+
 @PROPERTY
 @given(form1_batches(st.sampled_from([4, 6, 8, 12])))
+@example(_binary_filter_batch(14, 0b1111))  # nonzero rejects the mask at j = 215
+@example(_binary_filter_batch(16, 0b111111))  # and this one at j = 7453
 def test_filter_scans_match_quick_rejects(batch):
     ctx, c1, c2 = batch
     a_all, v_all = apn._coset_reps(ctx)
@@ -460,6 +470,17 @@ def test_filter_scans_match_quick_rejects(batch):
         assert f == (t * len(v_all) + i if zeros else -1)
         reject = apn.quick_reject_beta(form)
         assert (reject and reject.data) == ({"a": int(a_all[i]), "beta": betas[t]} if zeros else None)
+
+
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_each_beta_is_a_cube_that_permutes_the_representatives(n):
+    # 6 | n, so 21 | 2^n - 1: each beta_t is a cube and beta_t * {v_i} is the
+    # set of all nonzero cubes, so beta_scan's first zero lies at t = 0
+    ctx = mk_field(n)
+    _, v_all = apn._coset_reps(ctx)
+    for b in apn._subfield8_trace_zero(ctx):
+        assert ctx.is_cube(b)
+        assert np.array_equal(np.sort(ctx.mulcv(b, v_all)), np.sort(v_all))
 
 
 def _lemma1_value(form, a, y):

@@ -170,6 +170,18 @@ def test_even_n_filter_pins(tmp_path):
     assert not s.hits
 
 
+@pytest.mark.parametrize(
+    "n, verdicts",
+    [
+        (14, {"apn": 1, "fail": 7159, "rejected:parity": 8192, "rejected:nonzero": 1032}),
+        (16, {"apn": 1, "fail": 31143, "rejected:parity": 32768, "rejected:nonzero": 1624}),
+    ],
+)
+def test_even_n_binary_verdict_split(n, verdicts):
+    # 3 does not divide 14 or 16, so parity and nonzero are the filters that run
+    assert search.run(SearchJob(field=f"n={n}", shape="x9_plus_L_binary")).verdicts == verdicts
+
+
 def test_shared_l2_full_pin(tmp_path):
     # x9_plus_L_full: every row has L2(x) = x and most L1 rows are not binary;
     # its 6 hits fall into 2 profile buckets after the GF(3) escalation
