@@ -36,7 +36,7 @@ from .errors import (
     ZeroA,
 )
 from .linmap import LinearizedPoly
-from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks
+from .vbf import DDT_BLOCK, VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks
 
 _CHUNK = 4096
 
@@ -113,6 +113,20 @@ def is_apn_naive(F: VBF) -> ApnVerdict:
             xs = tuple(int(x) for x in np.nonzero(F.derivative(a).lut == b)[0])
             return ApnVerdict(False, _checked(F, Witness(a=a, b=b, xs=xs)), "naive")
     return ApnVerdict(True, None, "naive")
+
+
+def batch_is_apn_naive(luts):
+    """Per LUT of a batch (shape (B, 2^n)), whether it is APN by the
+    differential count of is_apn_naive; no witness, no early exit.  About
+    DDT_BLOCK entries of LUTs go to ddt_row_blocks at a time."""
+    luts = np.asarray(luts)
+    ok = np.ones(len(luts), dtype=bool)
+    step = max(1, DDT_BLOCK // luts.shape[-1])
+    for lo in range(0, len(luts), step):
+        part = ok[lo : lo + step]
+        for _, C in ddt_row_blocks(luts[lo : lo + step]):
+            part &= C.max(axis=(-2, -1)) <= 2
+    return ok
 
 
 @cache
@@ -266,14 +280,36 @@ def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
         return _apn_quadratic_form1(F)
     if not assume_quadratic and F.algebraic_degree() > 2:
         raise NotQuadratic("input has algebraic degree > 2")
-    ctx = F.ctx
-    for start in range(1, ctx.order, _CHUNK):
-        block = bilinear_table(F.lut, np.arange(start, min(start + _CHUNK, ctx.order)))
-        bad = np.nonzero(f2.batch_rank(block, ctx.n) != ctx.n - 1)[0]
-        if bad.size:
-            a = start + int(bad[0])
-            return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(block[bad[0]], a)), "quadratic")
+    a = int(_quadratic_first_bad(F.lut[None])[0])
+    if a:
+        cols = bilinear_table(F.lut, [a])[0]
+        return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(cols, a)), "quadratic")
     return ApnVerdict(True, None, "quadratic")
+
+
+def _quadratic_first_bad(luts):
+    """Per LUT of a batch of quadratic functions (shape (B, 2^n)), the first
+    a != 0 whose linearized derivative does not have rank n - 1, or 0.  A
+    block holds about _CHUNK (LUT, a) pairs; a refuted LUT leaves the walk."""
+    n = luts.shape[-1].bit_length() - 1
+    first = np.zeros(len(luts), dtype=np.int64)
+    alive = np.arange(len(luts))
+    step = max(1, _CHUNK // len(luts))
+    for start in range(1, 1 << n, step):
+        block = bilinear_table(luts[alive], np.arange(start, min(start + step, 1 << n)))
+        bad = (f2.batch_rank(block.reshape(-1, n), n) != n - 1).reshape(len(alive), -1)
+        hit = bad.any(axis=1)
+        first[alive[hit]] = start + bad[hit].argmax(axis=1)
+        alive = alive[~hit]
+        if not alive.size:
+            break
+    return first
+
+
+def batch_is_apn_quadratic(luts):
+    """Per LUT of a batch of quadratic functions (shape (B, 2^n)), whether it
+    is APN by the kernel test of is_apn_quadratic; no witness."""
+    return _quadratic_first_bad(np.asarray(luts)) == 0
 
 
 def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
@@ -410,14 +446,15 @@ def quick_reject_nonzero(form: Form1):
     return None
 
 
+@cache
 def _subfield8_trace_zero(ctx):
-    """The three nonzero GF(8) elements with subfield trace 0 (roots of y^3+y+1)."""
+    """The three nonzero GF(8) elements with subfield trace 0 (roots of y^3+y+1), ascending (cached)."""
     p2, p4 = ctx.pow_table(2), ctx.pow_table(4)
     xs = np.arange(1, ctx.order, dtype=np.int64)
     sel = xs[(p4[xs] ^ p2[xs] ^ xs) == 0]
     if len(sel) != 3:
         raise InternalCheckFailed(f"y^4+y^2+y has {len(sel)} nonzero roots, not 3")
-    return [int(b) for b in sel]
+    return tuple(int(b) for b in sel)
 
 
 def quick_reject_beta(form: Form1):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import f2
 from .errors import DimensionTooLarge, NotQuadratic, NotQuadraticApn
-from .spectral import fwht
-from .vbf import VBF, ddt_row_blocks, deriv_basis_table
+from .spectral import fwht, radical_dims
+from .vbf import VBF, bilinear_table, ddt_row_blocks, gram_elements
 from .linmap import LinearizedPoly
 
 
@@ -145,7 +145,7 @@ def gamma3_rank(F: VBF):
     q = ctx.order
     el = ctx.elements()
     g = F.lut ^ F(0)
-    p = ortho_derivative(VBF(ctx, g)).lut
+    p = _ortho_lut(F)
     tr = ctx.trace_table()
     # rep[w, a] = min of a + R_w, where R_w = {0} + pi^-1(w) and R_0 is the whole space
     rep = np.tile(el, (q, 1))
@@ -167,22 +167,74 @@ def gamma3_rank(F: VBF):
     return int(q * q - balanced)
 
 
+def _normals(ctx, luts):
+    """For a batch of quadratic LUTs (shape (B, 2^n)): pi[B, 2^n], where
+    pi[a] is the one nonzero c with Tr(c phi(a, e_j)) = 0 for every j (0 at
+    a = 0), and per LUT the first a != 0 with no such single c, or 0.
+
+    The c are the kernel vectors of the trace masks of phi(a, e_j), all a of
+    all LUTs in one f2.batch_kernel_vector call.
+    """
+    n, q = ctx.n, ctx.order
+    masks = ctx.trace_masks()[bilinear_table(luts, np.arange(q))]
+    pi, ranks = f2.batch_kernel_vector(masks.reshape(-1, n), n)
+    pi, bad = pi.reshape(-1, q), ranks.reshape(-1, q) != n - 1
+    pi[:, 0] = 0
+    bad[:, 0] = False
+    return pi, np.where(bad.any(axis=1), bad.argmax(axis=1), 0)
+
+
+def precompute(funcs):
+    """Keep with each function of funcs (quadratic, on one field) that does
+    not hold it yet its ortho-derivative, derived a batch at a time: the LUT
+    of F + F(0) in the narrowest unsigned type, and the first a whose
+    derivative image is not a hyperplane, or 0 (see _normals).  Each later
+    profile or GF(3) rank of such a function reuses it instead of computing
+    its own.  A batch holds about 2^16 / n entries of each (B, 2^n, n)
+    elimination array."""
+    todo = [F for F in funcs if F._ortho is None]
+    if todo:
+        ctx = todo[0].ctx
+        n = ctx.n
+        step = max(1, (1 << 16) // (ctx.order * n * n))
+        for lo in range(0, len(todo), step):
+            part = todo[lo : lo + step]
+            pis, bads = _normals(ctx, np.stack([F.lut for F in part]))
+            for F, pi, bad in zip(part, pis.astype(np.min_scalar_type(ctx.order - 1)), bads):
+                F._ortho = (pi, int(bad))
+
+
+def _ortho_lut(F: VBF, assume_quadratic=False):
+    """The ortho-derivative LUT of F + F(0), kept with F."""
+    if not assume_quadratic and F.algebraic_degree() > 2:
+        raise NotQuadratic("requires a quadratic function")
+    precompute([F])
+    pi, bad = F._ortho
+    if bad:
+        raise NotQuadraticApn(f"derivative image at a={bad} is not a hyperplane")
+    return pi.astype(np.int64)
+
+
 def ortho_derivative(F: VBF, assume_quadratic=False) -> VBF:
     """For quadratic APN F with F(0)=0: the unique nonzero direction
     trace-orthogonal to the image of each linearized derivative."""
-    ctx = F.ctx
     if F(0) != 0:
         raise NotQuadraticApn("requires F(0) = 0")
-    if not assume_quadratic and F.algebraic_degree() > 2:
-        raise NotQuadratic("requires a quadratic function")
-    masks = ctx.trace_masks()[deriv_basis_table(F)]
-    out = np.zeros(ctx.order, dtype=np.int64)
-    for a in range(1, ctx.order):
-        ns = f2.nullspace([int(m) for m in masks[a]], ctx.n)
-        if len(ns) != 1:
-            raise NotQuadraticApn(f"derivative image at a={a} is not a hyperplane")
-        out[a] = ns[0]
-    return VBF(ctx, out)
+    return VBF(F.ctx, _ortho_lut(F, assume_quadratic))
+
+
+def _walsh_of_dims(n, dims):
+    """extended_walsh of a quadratic function on GF(2^n) from its radical
+    dims (index lambda): a component whose radical has dimension k has
+    2^n - 2^(n-k) zeros and 2^(n-k) values of magnitude 2^((n+k)/2) (Berger,
+    Canteaut, Charpin and Laigle-Chapuy, IEEE TIT 2006)."""
+    q = 1 << n
+    acc = {}
+    for k, count in zip(*np.unique(dims[1:], return_counts=True)):
+        support = 1 << (n - int(k))
+        for value, times in ((0, q - support), (1 << ((n + int(k)) // 2), support)):
+            acc[value] = acc.get(value, 0) + int(count) * times
+    return tuple(sorted((v, c) for v, c in acc.items() if c))
 
 
 @dataclass
@@ -229,11 +281,17 @@ def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
     quadratic APN.  So is the GF(3) translate rank, when with_gamma3 asks
     for it: the escalation step for pairs the binary invariants cannot
     split.  The graph and difference-set ranks stay None here: gamma_rank
-    and delta_rank compute them on their own.
+    and delta_rank compute them on their own.  When the caller vouches that
+    F is quadratic (assume_quadratic), the extended Walsh spectrum comes from
+    the radical dims instead of a transform.
     """
-    p = InvariantProfile(ext_walsh=extended_walsh(F), diff_spectrum=diff_spectrum(F))
+    if assume_quadratic:
+        walsh = _walsh_of_dims(F.ctx.n, radical_dims(F.ctx, gram_elements(F)))
+    else:
+        walsh = extended_walsh(F)
+    p = InvariantProfile(ext_walsh=walsh, diff_spectrum=diff_spectrum(F))
     try:
-        od = ortho_derivative(VBF(F.ctx, F.lut ^ F(0)) if F(0) else F, assume_quadratic=assume_quadratic)
+        od = VBF(F.ctx, _ortho_lut(F, assume_quadratic))
     except (NotQuadratic, NotQuadraticApn):
         pass
     else:

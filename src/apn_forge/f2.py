@@ -3,8 +3,8 @@
 Rows are ints, bit j = column j.  A row is read as one linear equation
 ``parity(row & x) = rhs`` over the unknown bit-vector x.  The scalar
 routines give ranks, reduced bases and kernels; the batch variants take
-numpy arrays of packed rows, one system per entry, and answer ranks and
-solvability without building a solution.
+numpy arrays of packed rows, one system per entry, and answer ranks,
+solvability and the one kernel vector of a system of corank 1.
 """
 
 import numpy as np
@@ -90,25 +90,58 @@ def expand_linear(basis_values):
     return out
 
 
-def batch_rank(mat, ncols):
-    """Ranks of a batch of bit matrices.
+def _pivots(mat, ncols):
+    """Yield one pivot row per matrix per pass, 0 once a matrix is reduced.
 
     mat has shape (B, nrows); each entry is a packed row of ncols <= 64 bits.
-    Returns an int64 array of B ranks.  Each pass takes every matrix's largest
-    row as its pivot: XOR with it makes exactly the rows that share its leading
-    bit smaller, so min(row, row ^ top) clears that bit from them, leaves the
-    other rows and zeroes the pivot.  One pass per pivot, at most
+    Each pass takes every matrix's largest row as its pivot: XOR with it makes
+    exactly the rows that share its leading bit smaller, so min(row, row ^ top)
+    clears that bit from them, leaves the other rows and zeroes the pivot.  So
+    a matrix's pivots have strictly falling leading bits, and there are at most
     min(nrows, ncols) passes.
     """
     if ncols > 64:
         raise PreconditionViolated(f"batch_rank packs rows in 64 bits, got {ncols} columns")
     m = np.asarray(mat).T.astype(np.min_scalar_type((1 << ncols) - 1), order="C")
-    ranks = np.zeros(m.shape[-1], dtype=np.int64)
     for _ in range(min(len(m), ncols)):
         top = m.max(axis=0)
-        ranks += top != 0
+        yield top
         np.minimum(m, m ^ top, out=m)
+
+
+def batch_rank(mat, ncols):
+    """Ranks of a batch of bit matrices (see _pivots): an int64 array of B ranks."""
+    ranks = np.zeros(len(mat), dtype=np.int64)
+    for top in _pivots(mat, ncols):
+        ranks += top != 0
     return ranks
+
+
+def batch_kernel_vector(mat, ncols):
+    """(x, ranks) for a batch of bit matrices: where a matrix has rank
+    ncols - 1, x is the one nonzero solution of {parity(row & x) == 0}; other
+    entries of x mean nothing.
+
+    The pivots of _pivots form an echelon basis.  The one column that leads
+    no pivot is free: x takes it, then each pivot, lowest leading bit first,
+    sets its leading bit to the parity of the rest of the pivot with x, by
+    XOR-folding halves.  Leading bits are read as float exponents, exact for
+    ncols <= 53.
+    """
+    if ncols > 53:
+        raise PreconditionViolated(f"batch_kernel_vector needs ncols <= 53, got {ncols}")
+    # a zero first row keeps the shape (passes, B) when there are no passes
+    tops = np.array([np.zeros(len(mat))] + list(_pivots(mat, ncols)), dtype=np.int64)
+    lead = (np.int64(1) << np.frexp(tops)[1]) >> 1  # 0 for a zero pivot
+    x = ((1 << ncols) - 1) ^ np.bitwise_or.reduce(lead, axis=0)
+    x &= -x
+    folds = [1 << k for k in reversed(range((ncols - 1).bit_length()))]
+    for top, bit in zip(tops[::-1], lead[::-1]):
+        v = top & x
+        for s in folds:
+            v ^= v >> s
+        x |= bit * (v & 1)
+    return x, np.count_nonzero(tops, axis=0)
 
 
 def batch_solvable(rows, rhs, ncols):

@@ -19,19 +19,20 @@ import numpy as np
 from . import apn, catalog, equiv, f2, linmap, spectral
 from .errors import BadDimension, InternalCheckFailed, InvalidJob, JobTooLarge
 from .field import mk_field, parse_field_spec
-from .linmap import LinearizedPoly
-from .vbf import Form1, bilinear_table
+from .vbf import DDT_BLOCK, VBF, Form1, bilinear_table
 
 EXHAUSTIVE_LIMIT = 1 << 26
 
-# Hits are profiled only up to this many: each profile takes the full Walsh and
-# differential spectra of a hit and of its ortho-derivative, and a bucket count
-# says little over thousands of hits (the 20160 at n = 4 are one class).
+# Hits are profiled only up to this many: each profile takes the differential
+# spectra of a hit and of its ortho-derivative and the Walsh spectrum of the
+# ortho-derivative, about 0.4 ms at n = 5, 4 ms at n = 8 and 76 ms at n = 10
+# (CPU, one core of a 2-core x86-64 machine), and a bucket count says little
+# over thousands of hits (the 20160 at n = 4 are one class).
 PROFILE_HIT_LIMIT = 2048
 
 # GF(3) escalation runs only up to this many functions.  One translate rank is
-# a signed-graph count on the ortho-derivative, about 0.7 ms at n = 5 and
-# 1.3 ms at n = 6 (one CPU core of a 2-core x86-64 machine); the limit stays
+# a signed-graph count on the ortho-derivative the profile already computed,
+# about 0.23 ms at n = 5 and 0.46 ms at n = 6 (same machine); the limit stays
 # because raising it would add ranks to the records of larger hit sets.
 ESCALATE_LIMIT = 64
 
@@ -150,15 +151,28 @@ def _coeff_rows(job: SearchJob, ctx, indices):
     return c1, np.broadcast_to(shifts == 0, c1.shape).astype(np.int64)  # L2(x) = x
 
 
+def _candidate_batches(job: SearchJob, ctx, indices, size=apn.WALK_PAIRS):
+    """(indices, c1, c2, hexes) per size candidates of indices: the
+    coefficient rows and, per candidate, the hex coefficient lists the records
+    show: [L] or [L1, L2]."""
+    for lo in range(0, len(indices), size):
+        idx = indices[lo : lo + size]
+        c1, c2 = _coeff_rows(job, ctx, idx)
+        shown = zip(c1.tolist()) if job.shape.startswith("x9") else zip(c1.tolist(), c2.tolist())
+        yield idx, c1, c2, [[[format(c, "x") for c in row] for row in rows] for rows in shown]
+
+
 def _candidates(job: SearchJob, ctx, indices):
-    """(index, c1, c2, hex) per candidate of indices, decoded WALK_PAIRS at a time;
-    hex holds the hex coefficient lists the records show: [L] or [L1, L2]."""
-    for lo in range(0, len(indices), apn.WALK_PAIRS):
-        idx = indices[lo : lo + apn.WALK_PAIRS]
-        c1, c2 = (c.tolist() for c in _coeff_rows(job, ctx, idx))
-        shown = zip(c1) if job.shape.startswith("x9") else zip(c1, c2)
-        hexes = [[[format(c, "x") for c in row] for row in rows] for rows in shown]
-        yield from zip(idx.tolist(), c1, c2, hexes)
+    """(index, c1, c2, hex) per candidate of indices, with c1 and c2 as lists."""
+    for idx, c1, c2, hexes in _candidate_batches(job, ctx, indices):
+        yield from zip(idx.tolist(), c1.tolist(), c2.tolist(), hexes)
+
+
+def _form1_luts(ctx, c1, c2):
+    """LUTs of L1(x^3) + L2(x^9) for each row of coefficient rows (c1, c2),
+    equal to the Form1's realize()."""
+    l1, l2 = (f2.expand_linear(linmap.basis_images(ctx, c)) for c in (c1, c2))
+    return np.take(l1, ctx.pow_table(3), axis=1) ^ np.take(l2, ctx.pow_table(9), axis=1)
 
 
 # Verdicts in code order; a scan keeps one uint8 code per candidate.
@@ -252,6 +266,7 @@ def classify_functions(funcs):
     partitioned again.  Bucket counts are inequivalence lower bounds.
     Returns (buckets, profiles, escalated).
     """
+    equiv.precompute(funcs)
     profiles = [equiv.profile(F, assume_quadratic=True) for F in funcs]
     buckets = equiv.partition(funcs, profiles=profiles)
     unresolved = any(b["unresolved"] for b in buckets)
@@ -267,9 +282,10 @@ def run(job: SearchJob, out_path=None, workers=1):
     """Execute a search job; returns a SearchSummary.
 
     Scan in batches (filters, then the Form1 rank kernel; no witnesses),
-    re-verify the hits on their realized tables (naive oracle at n <= 8, the
-    quadratic test over every a above; InternalCheckFailed on a refuted hit),
-    classify up to PROFILE_HIT_LIMIT hits at n <= 10, write the records
+    re-verify the hits on their realized tables, DDT_BLOCK table entries at a
+    time (the batched naive count at n <= 8, the batched quadratic test over
+    every a above; InternalCheckFailed on a refuted hit), classify up to
+    PROFILE_HIT_LIMIT hits at n <= 10, write the records
     (sorted JSON lines) to out_path when given.  Records and the summary's
     hit text ("L" or "L1;L2") are built from the coefficient rows, decoded a
     batch at a time; of a hit only its hex coefficient lists are kept.
@@ -284,16 +300,18 @@ def run(job: SearchJob, out_path=None, workers=1):
     verdict_counts = {v: int(c) for v, c in zip(VERDICTS, counts) if c}
 
     profiling = 0 < counts[APN] <= PROFILE_HIT_LIMIT and ctx.n <= 10
+    verify = apn.batch_is_apn_naive if ctx.n <= 8 else apn.batch_is_apn_quadratic
     hits = {}
     funcs = []
-    for i, c1, c2, hexes in _candidates(job, ctx, job.cursor + np.nonzero(codes == APN)[0]):
-        F = Form1(LinearizedPoly(ctx, c1), LinearizedPoly(ctx, c2)).realize()
-        check = apn.is_apn_naive(F) if ctx.n <= 8 else apn.is_apn_quadratic(F, assume_quadratic=True)
-        if not check.is_apn:
-            raise InternalCheckFailed(f"hit {i} failed re-verification")
-        hits[i] = hexes
+    batch = max(1, DDT_BLOCK // ctx.order)  # larger batches ran slower at n = 8
+    for idx, c1, c2, hexes in _candidate_batches(job, ctx, job.cursor + np.nonzero(codes == APN)[0], batch):
+        luts = _form1_luts(ctx, c1, c2)
+        refuted = np.flatnonzero(~verify(luts))
+        if refuted.size:
+            raise InternalCheckFailed(f"hit {idx[refuted[0]]} failed re-verification")
+        hits.update(zip(idx.tolist(), hexes))
         if profiling:
-            funcs.append(F)
+            funcs += [VBF(ctx, lut) for lut in luts]
 
     bucket_count = None
     unresolved = False
@@ -338,8 +356,7 @@ def conjecture_batch(ctx, l1_coeffs, l2_coeffs):
     candidate is APN.  bent_counts counts the full-rank component forms
     (dim V_lambda == 0).
     """
-    l1, l2 = (f2.expand_linear(linmap.basis_images(ctx, c)) for c in (l1_coeffs, l2_coeffs))
-    luts = l1[:, ctx.pow_table(3)] ^ l2[:, ctx.pow_table(9)]
+    luts = _form1_luts(ctx, l1_coeffs, l2_coeffs)
     phi = bilinear_table(luts, 1 << np.arange(ctx.n, dtype=np.int64))
     dims = spectral.radical_dims(ctx, phi)[:, 1:]
     bent = (dims == 0).sum(axis=1)
@@ -423,18 +440,15 @@ def reproduce_table3(ns=None, n9_samples=1_000_000, seed=0, workers=1):
             items.append(entry)
             ok_all &= entry["ok"]
             continue
-        funcs = []
-        verdicts = []
-        for i in range(len(reps)):
-            form = catalog.x9_rep(n, i)
-            F = form.realize()
-            v = apn.is_apn_quadratic(form)
-            if n <= 8 and apn.is_apn_naive(F).is_apn != v.is_apn:
+        forms = [catalog.x9_rep(n, i) for i in range(len(reps))]
+        funcs = [form.realize() for form in forms]
+        verdicts = [apn.is_apn_quadratic(form).is_apn for form in forms]
+        if n <= 8:
+            differ = np.flatnonzero(apn.batch_is_apn_naive([F.lut for F in funcs]) != verdicts)
+            if differ.size:
                 raise InternalCheckFailed(
-                    f"representative {i} at n={n}: quadratic and naive APN tests disagree"
+                    f"representative {differ[0]} at n={n}: quadratic and naive APN tests disagree"
                 )
-            verdicts.append(v.is_apn)
-            funcs.append(F)
         buckets, _, escalated = classify_functions(funcs)
         entry["all_apn"] = all(verdicts)
         entry["buckets"] = len(buckets)

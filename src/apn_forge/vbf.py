@@ -145,6 +145,9 @@ class VBF:
         self.lut.setflags(write=False)
         self._uni = None
         self._degree = None
+        # The ortho-derivative equiv derives from the table once and shares
+        # between its invariants (equiv.precompute).
+        self._ortho = None
 
     def __call__(self, x):
         return int(self.lut[x])
@@ -216,21 +219,26 @@ class Form1:
         return f"Form1(L1={self.L1.to_text()}, L2={self.L2.to_text()})"
 
 
-def ddt_row_blocks(F: VBF):
+def ddt_row_blocks(F):
     """Yield (a0, C) over the DDT rows a = 1 .. 2^n - 1, a block at a time.
 
-    C[i, b] = #{x : F(x + a0 + i) + F(x) = b}.  A block holds about DDT_BLOCK
-    entries and is counted by one bincount: row i's values are tagged with
-    i * 2^n, which the XOR with F(x) carries in the bits above n.
+    F is a VBF or an array of LUTs with leading batch axes, which C keeps in
+    front: C[..., i, b] = #{x : F(x + a0 + i) + F(x) = b}.  A block holds
+    about DDT_BLOCK entries (one row of every LUT at least) and is counted by
+    one bincount: the values of each row of each LUT are tagged with their own
+    multiple of 2^n, which the XOR with F(x) carries in the bits above n.
     """
-    order = F.ctx.order
-    rows = max(1, DDT_BLOCK // order)
+    luts = F.lut if isinstance(F, VBF) else np.asarray(F)
+    order = luts.shape[-1]
+    rows = max(1, DDT_BLOCK // luts.size)
     idx = np.arange(order)
-    tagged = F.lut + np.arange(rows)[:, None] * order
+    tags = np.arange(luts.size // order * rows).reshape(luts.shape[:-1] + (rows, 1))
+    tagged = luts[..., None, :] + tags * order
     for a0 in range(1, order, rows):
         a = np.arange(a0, min(a0 + rows, order))
-        vals = F.lut[a[:, None] ^ idx] ^ tagged[: len(a)]
-        yield a0, np.bincount(vals.ravel(), minlength=len(a) * order).reshape(len(a), order)
+        vals = np.take(luts, a[:, None] ^ idx, axis=-1) ^ tagged[..., : len(a), :]
+        C = np.bincount(vals.ravel(), minlength=tagged.size).reshape(tagged.shape)
+        yield a0, C[..., : len(a), :]
 
 
 def bilinear_table(luts, points):

@@ -12,13 +12,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apn_forge import apn, equiv, f2, linmap, spectral, vbf
-from apn_forge.errors import InternalCheckFailed, NonBinaryCoefficients, PreconditionViolated
+from apn_forge import apn, catalog, equiv, f2, linmap, search, spectral, vbf
+from apn_forge.errors import (
+    InternalCheckFailed,
+    NonBinaryCoefficients,
+    NotQuadratic,
+    NotQuadraticApn,
+    PreconditionViolated,
+)
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.vbf import VBF, Form1, bilinear_table, ddt_row_blocks, deriv_basis_table, gram_elements
 
 import f3_oracle
+import ortho_oracle
 
 # Derandomized so every run tries the same examples; no example database is kept.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -643,3 +650,161 @@ def test_gamma3_rank_matches_elimination(data):
     if data.draw(st.booleans()):
         F = equiv.random_ea_transform(F, random.Random(data.draw(st.integers(0, 2**32 - 1))))
     assert equiv.gamma3_rank(F) == f3_oracle.translate_rank(F)
+
+
+@st.composite
+def quadratics(draw, n):
+    """A random quadratic LUT on GF(2^n): sum over i <= j of x_i x_j times a
+    field element (x_i x_i = x_i, the affine part), plus a constant."""
+    x = np.arange(1 << n)
+    coeffs = iter(draw(elements(n, n * (n + 1) // 2 + 1)))
+    lut = np.full(1 << n, next(coeffs))
+    for i in range(n):
+        for j in range(i + 1):
+            lut ^= ((x >> i) & (x >> j) & 1) * next(coeffs)
+    return VBF(mk_field(n), lut)
+
+
+def _x9_reps(n):
+    return [catalog.x9_rep(n, i).realize() for i in range(len(catalog.X9L_REPRESENTATIVES.get(n, ())))]
+
+
+def _oracle_or_bad(G):
+    """ortho_oracle's LUT of G, or the a its NotQuadraticApn names."""
+    try:
+        return ortho_oracle.ortho_derivative(G), 0
+    except NotQuadraticApn as e:
+        return None, int(str(e).split("a=")[1].split()[0])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data())
+def test_batched_ortho_derivative_matches_the_nullspace_loop(n, data):
+    # Gold maps and catalogued x^9 + L(x^3) representatives, each possibly
+    # under an EA transform with a constant, next to random quadratics that
+    # are mostly not APN, all in one batch
+    ctx = mk_field(n)
+    apns = [vbf.power_map(ctx, (1 << i) + 1) for i in range(1, n) if math.gcd(i, n) == 1] + _x9_reps(n)
+    funcs = data.draw(st.lists(st.sampled_from(apns), min_size=1, max_size=3))
+    funcs = [equiv.random_ea_transform(F, random.Random(s)) if s else F
+             for F, s in zip(funcs, data.draw(elements(8, len(funcs))))]
+    funcs += data.draw(st.lists(quadratics(n), max_size=2))
+    order = data.draw(st.permutations(range(len(funcs))))
+    funcs = [funcs[i] for i in order]
+    pis, bads = equiv._normals(ctx, np.stack([F.lut for F in funcs]))
+    for F, pi, bad in zip(funcs, pis, bads):
+        expect, expect_bad = _oracle_or_bad(VBF(ctx, F.lut ^ F(0)))
+        assert bad == expect_bad
+        if expect is not None:
+            assert np.array_equal(pi, expect)
+            assert np.array_equal(equiv.ortho_derivative(VBF(ctx, F.lut ^ F(0))).lut, expect)
+            assert np.array_equal(equiv._ortho_lut(F), expect)
+    assert any(b == 0 for b in bads)
+
+
+def test_batched_ortho_derivative_names_the_first_bad_direction(ctx6):
+    # x^9 and x^5 are quadratic and not APN at n = 6; x^7 is cubic
+    for d in (9, 5):
+        F = vbf.power_map(ctx6, d)
+        _, a = _oracle_or_bad(F)
+        assert a > 0
+        with pytest.raises(NotQuadraticApn, match=f"^derivative image at a={a} is not a hyperplane$"):
+            equiv.ortho_derivative(F)
+        with pytest.raises(NotQuadraticApn, match=f"at a={a} "):
+            equiv.gamma3_rank(F)
+        assert equiv.profile(F).ortho_diff_spectrum is None
+    with pytest.raises(NotQuadratic):
+        equiv.ortho_derivative(vbf.power_map(ctx6, 7))
+
+
+@PROPERTY
+@given(st.data())
+def test_kernel_vector_matches_nullspace(data):
+    n = data.draw(st.integers(1, 12))
+    mats = data.draw(st.lists(elements(n, n), min_size=1, max_size=6))
+    xs, ranks = f2.batch_kernel_vector(np.array(mats, dtype=np.int64), n)
+    for rows, x, r in zip(mats, xs, ranks):
+        ns = f2.nullspace(rows, n)
+        assert r == n - len(ns) == f2.rank(rows)
+        if len(ns) == 1:
+            assert x == ns[0]
+
+
+def test_kernel_vector_limits():
+    with pytest.raises(PreconditionViolated):
+        f2.batch_kernel_vector(np.zeros((1, 2), dtype=np.int64), 54)
+    x, ranks = f2.batch_kernel_vector(np.zeros((0, 3), dtype=np.int64), 3)
+    assert x.shape == ranks.shape == (0,)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_walsh_spectrum_from_radical_dims_matches_the_transform(n, data):
+    F = data.draw(quadratics(n))
+    assert equiv._walsh_of_dims(n, spectral.radical_dims(F.ctx, gram_elements(F))) == equiv.extended_walsh(F)
+    assert equiv.profile(F, assume_quadratic=True).ext_walsh == equiv.extended_walsh(F)
+
+
+@PROPERTY
+@given(st.data())
+def test_ddt_row_blocks_of_a_batch_are_the_blocks_of_each_lut(data):
+    n = data.draw(dims)
+    tables = np.array(data.draw(st.lists(elements(n, 1 << n), min_size=1, max_size=4)))
+    with mock.patch.object(vbf, "DDT_BLOCK", data.draw(st.integers(1, 1 << 10))):
+        batch = [(a0, C) for a0, C in ddt_row_blocks(tables)]
+    whole = np.concatenate([C for _, C in batch], axis=-2)
+    assert [a0 for a0, _ in batch] == list(np.cumsum([1] + [C.shape[-2] for _, C in batch[:-1]]))
+    for lut, C in zip(tables, whole):
+        assert np.array_equal(C, np.concatenate([C1 for _, C1 in ddt_row_blocks(VBF(mk_field(n), lut))]))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_batched_reverification_matches_the_naive_oracle(n, data):
+    # mixed batches: Gold maps and their EA transforms (APN) next to random
+    # Form1s (mostly not APN) and random tables
+    ctx = mk_field(n)
+    golds = [_gold(n).realize()] + [equiv.random_ea_transform(_gold(n).realize(), random.Random(s))
+                                    for s in data.draw(elements(8, 2))]
+    forms = [Form1(LinearizedPoly(ctx, c1), LinearizedPoly(ctx, c2)).realize()
+             for c1, c2 in data.draw(st.lists(st.tuples(elements(n, n), elements(n, n)), max_size=4))]
+    funcs = data.draw(st.permutations(golds + forms))
+    luts = np.stack([F.lut for F in funcs])
+    verdicts = [apn.is_apn_naive(F) for F in funcs]
+    naive = [v.is_apn for v in verdicts]
+    assert apn.batch_is_apn_naive(luts).tolist() == naive
+    assert apn.batch_is_apn_quadratic(luts).tolist() == naive
+    with mock.patch.object(apn, "DDT_BLOCK", data.draw(st.integers(1, 1 << 12))):
+        assert apn.batch_is_apn_naive(luts).tolist() == naive
+    # blocks of a few directions: LUTs leave the kernel walk at their first bad a
+    with mock.patch.object(apn, "_CHUNK", data.draw(st.integers(1, 64))):
+        assert apn.batch_is_apn_quadratic(luts).tolist() == naive
+        for F, v in zip(funcs, verdicts):
+            w = apn.is_apn_quadratic(F, assume_quadratic=True).witness
+            assert (w and w.a) == (v.witness and v.witness.a)
+    if n <= 6:
+        tables = np.array(data.draw(st.lists(elements(n, 1 << n), min_size=1, max_size=3)))
+        assert apn.batch_is_apn_naive(tables).tolist() == [apn.is_apn_naive(VBF(ctx, t)).is_apn for t in tables]
+
+
+@PROPERTY
+@given(st.data())
+def test_form1_luts_are_the_realized_tables(data):
+    n = data.draw(st.integers(2, 8))
+    ctx = mk_field(n)
+    rows = data.draw(st.lists(st.tuples(elements(n, n), elements(n, n)), min_size=1, max_size=4))
+    luts = search._form1_luts(ctx, np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+    for (c1, c2), lut in zip(rows, luts):
+        assert np.array_equal(lut, Form1(LinearizedPoly(ctx, c1), LinearizedPoly(ctx, c2)).realize().lut)
+
+
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_subfield8_trace_zero_is_cached_and_the_roots_of_y3_y_1(n):
+    ctx = mk_field(n)
+    roots = apn._subfield8_trace_zero(ctx)
+    assert isinstance(roots, tuple) and apn._subfield8_trace_zero(ctx) is roots
+    assert len(set(roots)) == 3 and list(roots) == sorted(roots)
+    assert all(ctx.pow(y, 3) ^ y ^ 1 == 0 for y in roots)

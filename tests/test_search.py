@@ -221,6 +221,7 @@ def test_resume_cursor(tmp_path):
 
 
 _REFUTE_UNDER_O = """
+import numpy as np
 import pytest
 from apn_forge import apn, linmap, search
 from apn_forge.errors import InternalCheckFailed
@@ -233,7 +234,7 @@ apn.Witness.verifies = lambda self, F: False
 with pytest.raises(InternalCheckFailed, match="re-verification"):
     apn.is_apn_naive(power_map(mk_field(6), 9))
 apn.Witness.verifies = verifies
-apn.is_apn_naive = lambda F: apn.ApnVerdict(False, None, "patched")
+apn.batch_is_apn_naive = lambda luts: np.zeros(len(luts), dtype=bool)
 with pytest.raises(InternalCheckFailed, match="re-verification"):
     search.run(search.SearchJob(field="n=4", shape="x9_plus_L_binary"))
 with pytest.raises(InternalCheckFailed, match="disagree"):
