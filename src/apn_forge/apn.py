@@ -270,7 +270,7 @@ def _kernel_extra(cols, known):
     return next(x for x in f2.span(f2.nullspace(rows, len(cols))) if x not in (0, known))
 
 
-def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
+def is_apn_quadratic(F) -> ApnVerdict:
     """Kernel test of the linearized derivative; accepts a VBF or a Form1.
 
     APN iff for every a != 0 the map x -> F(x+a)+F(x)+F(a)+F(0) has kernel
@@ -278,7 +278,7 @@ def is_apn_quadratic(F, assume_quadratic=False) -> ApnVerdict:
     """
     if isinstance(F, Form1):
         return _apn_quadratic_form1(F)
-    if not assume_quadratic and F.algebraic_degree() > 2:
+    if F.algebraic_degree() > 2:
         raise NotQuadratic("input has algebraic degree > 2")
     a = int(_quadratic_first_bad(F.lut[None])[0])
     if a:

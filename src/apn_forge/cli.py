@@ -66,7 +66,7 @@ def cmd_test(args):
     if form is not None:
         verdict = apn.is_apn_quadratic(form)
     elif F.algebraic_degree() <= 2:
-        verdict = apn.is_apn_quadratic(F, assume_quadratic=True)
+        verdict = apn.is_apn_quadratic(F)
     else:
         verdict = apn.is_apn_naive(F)
     payload = verdict.as_dict()
@@ -91,12 +91,11 @@ def cmd_spectral(args):
     payload = {"n": ctx.n}
     is_apn, sums = spectral.apn_sum_check(F)
     payload["apn"] = is_apn
-    if args.bent or args.gamma:
+    if args.gamma:  # quadratic F only; bent_components takes any degree
         prof = spectral.spectral_profile(F)
-        if ctx.n % 2 == 0:
-            payload["bent_count"] = prof.bent_count
-        if args.gamma:
-            payload["gamma"] = {str(k): v for k, v in sorted(prof.gamma.items())}
+        payload["gamma"] = {str(k): v for k, v in sorted(prof.gamma.items())}
+    if (args.bent or args.gamma) and ctx.n % 2 == 0:
+        payload["bent_count"] = prof.bent_count if args.gamma else spectral.bent_components(F)
     if args.sums:
         payload["sums"] = {str(a): s for a, s in sorted(sums.items())}
     if args.component is not None:

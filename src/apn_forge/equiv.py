@@ -8,7 +8,7 @@ reports such buckets as unresolved.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -139,13 +139,21 @@ def gamma3_rank(F: VBF):
     l_w'(a + rep_w'(a)) with l_w(r) = Tr(w G(r)).  The rank is the number of
     vertices on edges minus the number of balanced components.
     """
-    ctx = F.ctx
+    _check_gamma3_dim(F.ctx)
+    return _gamma3(F, _ortho_lut(F))
+
+
+def _check_gamma3_dim(ctx):
     if ctx.n > 6:
         raise DimensionTooLarge("gamma3_rank is supported for n <= 6")
+
+
+def _gamma3(F: VBF, p):
+    """gamma3_rank of quadratic APN F from p, the ortho-derivative LUT of F + F(0)."""
+    ctx = F.ctx
     q = ctx.order
     el = ctx.elements()
     g = F.lut ^ F(0)
-    p = _ortho_lut(F)
     tr = ctx.trace_table()
     # rep[w, a] = min of a + R_w, where R_w = {0} + pi^-1(w) and R_0 is the whole space
     rep = np.tile(el, (q, 1))
@@ -184,43 +192,38 @@ def _normals(ctx, luts):
     return pi, np.where(bad.any(axis=1), bad.argmax(axis=1), 0)
 
 
-def precompute(funcs):
-    """Keep with each function of funcs (quadratic, on one field) that does
-    not hold it yet its ortho-derivative, derived a batch at a time: the LUT
-    of F + F(0) in the narrowest unsigned type, and the first a whose
-    derivative image is not a hyperplane, or 0 (see _normals).  Each later
-    profile or GF(3) rank of such a function reuses it instead of computing
-    its own.  A batch holds about 2^16 / n entries of each (B, 2^n, n)
-    elimination array."""
-    todo = [F for F in funcs if F._ortho is None]
-    if todo:
-        ctx = todo[0].ctx
-        n = ctx.n
-        step = max(1, (1 << 16) // (ctx.order * n * n))
-        for lo in range(0, len(todo), step):
-            part = todo[lo : lo + step]
-            pis, bads = _normals(ctx, np.stack([F.lut for F in part]))
-            for F, pi, bad in zip(part, pis.astype(np.min_scalar_type(ctx.order - 1)), bads):
-                F._ortho = (pi, int(bad))
+def _ortho_rows(funcs):
+    """Per function of funcs (quadratic, on one field): the ortho-derivative
+    LUT of F + F(0) in the narrowest unsigned type, and the first a whose
+    derivative image is not a hyperplane, or 0 (see _normals).  A _normals
+    call holds about 2^16 / n entries of each (B, 2^n, n) elimination array."""
+    if not funcs:
+        return []
+    ctx = funcs[0].ctx
+    step = max(1, (1 << 16) // (ctx.order * ctx.n * ctx.n))
+    rows = []
+    for lo in range(0, len(funcs), step):
+        pis, bads = _normals(ctx, np.stack([F.lut for F in funcs[lo : lo + step]]))
+        rows += zip(pis.astype(np.min_scalar_type(ctx.order - 1)), bads.tolist())
+    return rows
 
 
-def _ortho_lut(F: VBF, assume_quadratic=False):
-    """The ortho-derivative LUT of F + F(0), kept with F."""
-    if not assume_quadratic and F.algebraic_degree() > 2:
+def _ortho_lut(F: VBF):
+    """The ortho-derivative LUT of F + F(0)."""
+    if F.algebraic_degree() > 2:
         raise NotQuadratic("requires a quadratic function")
-    precompute([F])
-    pi, bad = F._ortho
+    [(pi, bad)] = _ortho_rows([F])
     if bad:
         raise NotQuadraticApn(f"derivative image at a={bad} is not a hyperplane")
     return pi.astype(np.int64)
 
 
-def ortho_derivative(F: VBF, assume_quadratic=False) -> VBF:
+def ortho_derivative(F: VBF) -> VBF:
     """For quadratic APN F with F(0)=0: the unique nonzero direction
     trace-orthogonal to the image of each linearized derivative."""
     if F(0) != 0:
         raise NotQuadraticApn("requires F(0) = 0")
-    return VBF(F.ctx, _ortho_lut(F, assume_quadratic))
+    return VBF(F.ctx, _ortho_lut(F))
 
 
 def _walsh_of_dims(n, dims):
@@ -248,29 +251,13 @@ class InvariantProfile:
     gamma3_rank: Optional[int] = None
 
     def key(self):
-        return (
-            self.ext_walsh,
-            self.diff_spectrum,
-            self.gamma_rank,
-            self.delta_rank,
-            self.ortho_diff_spectrum,
-            self.ortho_walsh_spectrum,
-            self.gamma3_rank,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self):
         def ms(t):
-            return None if t is None else {str(v): c for v, c in t}
+            return {str(v): c for v, c in t} if isinstance(t, tuple) else t
 
-        return {
-            "ext_walsh": ms(self.ext_walsh),
-            "diff_spectrum": ms(self.diff_spectrum),
-            "gamma_rank": self.gamma_rank,
-            "delta_rank": self.delta_rank,
-            "ortho_diff_spectrum": ms(self.ortho_diff_spectrum),
-            "ortho_walsh_spectrum": ms(self.ortho_walsh_spectrum),
-            "gamma3_rank": self.gamma3_rank,
-        }
+        return {f.name: ms(getattr(self, f.name)) for f in fields(self)}
 
 
 def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
@@ -281,25 +268,60 @@ def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
     quadratic APN.  So is the GF(3) translate rank, when with_gamma3 asks
     for it: the escalation step for pairs the binary invariants cannot
     split.  The graph and difference-set ranks stay None here: gamma_rank
-    and delta_rank compute them on their own.  When the caller vouches that
-    F is quadratic (assume_quadratic), the extended Walsh spectrum comes from
-    the radical dims instead of a transform.
+    and delta_rank compute them on their own.  A quadratic F's extended
+    Walsh spectrum comes from its radical dims instead of a transform.
+    assume_quadratic is ignored: the degree is read from F.
     """
-    if assume_quadratic:
-        walsh = _walsh_of_dims(F.ctx.n, radical_dims(F.ctx, gram_elements(F)))
-    else:
-        walsh = extended_walsh(F)
+    if F.algebraic_degree() > 2:
+        return InvariantProfile(ext_walsh=extended_walsh(F), diff_spectrum=diff_spectrum(F))
+    [(pi, bad)] = _ortho_rows([F])
+    return _quadratic_profile(F, pi, bad, with_gamma3)
+
+
+def _quadratic_profile(F: VBF, pi, bad, with_gamma3=False):
+    """profile of quadratic F from its ortho-derivative row (see _ortho_rows)."""
+    walsh = _walsh_of_dims(F.ctx.n, radical_dims(F.ctx, gram_elements(F)))
     p = InvariantProfile(ext_walsh=walsh, diff_spectrum=diff_spectrum(F))
-    try:
-        od = VBF(F.ctx, _ortho_lut(F, assume_quadratic))
-    except (NotQuadratic, NotQuadraticApn):
-        pass
-    else:
+    if not bad:
+        od = VBF(F.ctx, pi)
         p.ortho_diff_spectrum = diff_spectrum(od)
         p.ortho_walsh_spectrum = extended_walsh(od)
         if with_gamma3:
-            p.gamma3_rank = gamma3_rank(F)
+            _check_gamma3_dim(F.ctx)
+            p.gamma3_rank = _gamma3(F, pi)
     return p
+
+
+# GF(3) escalation runs only up to this many functions.  One translate rank is
+# a signed-graph count on the ortho-derivative classify already derived, about
+# 0.23 ms at n = 5 and 0.46 ms at n = 6 (CPU, one core of a 2-core x86-64
+# machine); the limit stays because raising it would add ranks to the records
+# of larger hit sets.
+ESCALATE_LIMIT = 64
+
+
+def classify(funcs):
+    """Bucket quadratic functions on one field by invariant profile.  The
+    degree is not checked: search hits and catalogued Form1s are quadratic.
+
+    The ortho-derivatives come a batch at a time (_ortho_rows), and each
+    function is profiled from its own.  If a bucket is unresolved at n <= 6
+    and there are at most ESCALATE_LIMIT functions, the GF(3) translate rank
+    of each quadratic APN function joins its profile and they are
+    partitioned again.  Bucket counts are inequivalence lower bounds.
+    Returns (buckets, profiles, escalated).
+    """
+    rows = _ortho_rows(funcs)
+    profiles = [_quadratic_profile(F, pi, bad) for F, (pi, bad) in zip(funcs, rows)]
+    buckets = partition(funcs, profiles=profiles)
+    unresolved = any(b["unresolved"] for b in buckets)
+    escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
+    if escalated:
+        for F, p, (pi, bad) in zip(funcs, profiles, rows):
+            if not bad:
+                p.gamma3_rank = _gamma3(F, pi)
+        buckets = partition(funcs, profiles=profiles)
+    return buckets, profiles, escalated
 
 
 def partition(funcs, profiles=None):

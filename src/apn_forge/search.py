@@ -18,7 +18,7 @@ import numpy as np
 
 from . import apn, catalog, equiv, f2, linmap, spectral
 from .errors import BadDimension, InternalCheckFailed, InvalidJob, JobTooLarge
-from .field import mk_field, parse_field_spec
+from .field import MAX_DEGREE, mk_field, parse_field_spec
 from .vbf import DDT_BLOCK, VBF, Form1, bilinear_table
 
 EXHAUSTIVE_LIMIT = 1 << 26
@@ -29,12 +29,6 @@ EXHAUSTIVE_LIMIT = 1 << 26
 # (CPU, one core of a 2-core x86-64 machine), and a bucket count says little
 # over thousands of hits (the 20160 at n = 4 are one class).
 PROFILE_HIT_LIMIT = 2048
-
-# GF(3) escalation runs only up to this many functions.  One translate rank is
-# a signed-graph count on the ortho-derivative the profile already computed,
-# about 0.23 ms at n = 5 and 0.46 ms at n = 6 (same machine); the limit stays
-# because raising it would add ranks to the records of larger hit sets.
-ESCALATE_LIMIT = 64
 
 SHAPES = ("x9_plus_L_binary", "x9_plus_L_full", "form1_binary", "form1_random")
 
@@ -258,26 +252,6 @@ def _scan(job: SearchJob, total, workers):
     return np.concatenate([np.zeros(0, dtype=np.uint8)] + parts)
 
 
-def classify_functions(funcs):
-    """Bucket realized quadratic functions by invariant profile.
-
-    If a bucket is unresolved at n <= 6 and there are at most ESCALATE_LIMIT
-    functions, the GF(3) translate rank joins the same profiles and they are
-    partitioned again.  Bucket counts are inequivalence lower bounds.
-    Returns (buckets, profiles, escalated).
-    """
-    equiv.precompute(funcs)
-    profiles = [equiv.profile(F, assume_quadratic=True) for F in funcs]
-    buckets = equiv.partition(funcs, profiles=profiles)
-    unresolved = any(b["unresolved"] for b in buckets)
-    escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
-    if escalated:
-        for F, p in zip(funcs, profiles):
-            p.gamma3_rank = equiv.gamma3_rank(F)
-        buckets = equiv.partition(funcs, profiles=profiles)
-    return buckets, profiles, escalated
-
-
 def run(job: SearchJob, out_path=None, workers=1):
     """Execute a search job; returns a SearchSummary.
 
@@ -317,7 +291,7 @@ def run(job: SearchJob, out_path=None, workers=1):
     unresolved = False
     hit_profiles = {}
     if profiling:
-        buckets, profiles, _ = classify_functions(funcs)
+        buckets, profiles, _ = equiv.classify(funcs)
         bucket_count = len(buckets)
         unresolved = any(b["unresolved"] for b in buckets)
         hit_profiles = {i: p.as_dict() for i, p in zip(hits, profiles)}
@@ -383,7 +357,9 @@ def reproduce(target, **opts):
 
 
 def reproduce_dims_scan(max_n=16):
-    """Dimensions where x^9 + Tr(x^3) is APN."""
+    """Dimensions where x^9 + Tr(x^3) is APN, over n = 4..max_n."""
+    if not 4 <= max_n <= MAX_DEGREE:
+        raise BadDimension(f"dims_scan needs max_n in 4..{MAX_DEGREE}, not {max_n}")
     items = []
     found = []
     for n in range(4, max_n + 1):
@@ -449,7 +425,7 @@ def reproduce_table3(ns=None, n9_samples=1_000_000, seed=0, workers=1):
                 raise InternalCheckFailed(
                     f"representative {differ[0]} at n={n}: quadratic and naive APN tests disagree"
                 )
-        buckets, _, escalated = classify_functions(funcs)
+        buckets, _, escalated = equiv.classify(funcs)
         entry["all_apn"] = all(verdicts)
         entry["buckets"] = len(buckets)
         entry["unresolved"] = any(b["unresolved"] for b in buckets)

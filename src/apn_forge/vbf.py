@@ -145,9 +145,6 @@ class VBF:
         self.lut.setflags(write=False)
         self._uni = None
         self._degree = None
-        # The ortho-derivative equiv derives from the table once and shares
-        # between its invariants (equiv.precompute).
-        self._ortho = None
 
     def __call__(self, x):
         return int(self.lut[x])

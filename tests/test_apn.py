@@ -63,7 +63,7 @@ def test_quadratic_agrees_with_naive_exhaustive_n4(ctx4):
         form = binary_form1(ctx4, mask)
         want = apn.is_apn_naive(form.realize()).is_apn
         assert apn.is_apn_quadratic(form).is_apn == want
-        assert apn.is_apn_quadratic(form.realize(), assume_quadratic=True).is_apn == want
+        assert apn.is_apn_quadratic(form.realize()).is_apn == want
 
 
 def test_quadratic_family_n6(ctx6):
@@ -271,10 +271,10 @@ def test_family_tr9():
     for n in (4, 5, 6, 7):
         ctx = mk_field(n)
         F = apn.family("tr9", ctx, 1)
-        assert apn.is_apn_quadratic(F, assume_quadratic=True).is_apn
+        assert apn.is_apn_quadratic(F).is_apn
     ctx7 = mk_field(7)
     Fa = apn.family("tr9", ctx7, ctx7.alpha)
-    assert apn.is_apn_quadratic(Fa, assume_quadratic=True).is_apn
+    assert apn.is_apn_quadratic(Fa).is_apn
     with pytest.raises(ZeroA):
         apn.family("tr9", ctx7, 0)
 
@@ -282,7 +282,7 @@ def test_family_tr9():
 def test_family_tr3_kinds(ctx6):
     for kind in ("tr3_a", "tr3_b"):
         F = apn.family(kind, ctx6, ctx6.alpha)
-        assert apn.is_apn_quadratic(F, assume_quadratic=True).is_apn
+        assert apn.is_apn_quadratic(F).is_apn
     with pytest.raises(BadDimension):
         apn.family("tr3_a", mk_field(4), 1)
 

@@ -219,6 +219,25 @@ def test_reproduce_cli(capsys):
     assert code == 0 and json.loads(out)["bent_components"] == 46
 
 
+@pytest.mark.parametrize("max_n", ["3", "21"])
+def test_reproduce_dims_scan_rejects_max_n_outside_4_to_20(capsys, max_n):
+    # checked before the scan: 3 scanned nothing and said ok=True, 21 failed at n = 21
+    assert_usage_error(capsys, "reproduce", "dims-scan", "--max-n", max_n, match=f"not {max_n}")
+
+
+def test_spectral_bent_of_a_cubic(capsys):
+    from apn_forge import spectral
+    from apn_forge.field import mk_field
+    from apn_forge.vbf import power_map
+
+    code, out, _ = run_cli(capsys, "spectral", "-f", "n=6", "-u", "x^7", "--bent", "--format", "json")
+    assert code == 0
+    F = power_map(mk_field(6), 7)
+    assert json.loads(out)["bent_count"] == sum(spectral.is_bent(F.component(lam)) for lam in range(1, 64)) == 27
+    code, _, err = run_cli(capsys, "spectral", "-f", "n=6", "-u", "x^7", "--gamma")
+    assert code == 2 and "degree <= 2" in err
+
+
 @pytest.mark.parametrize("n", ["3", "11"])
 def test_reproduce_table3_rejects_uncatalogued_n(capsys, n):
     # exit 1 would read as "ok=False"; the error names the catalogued n

@@ -165,9 +165,49 @@ def test_partition_ignores_an_added_constant(ctx5):
 def test_partition_table_counts_small():
     for n in (4, 5, 6, 7):
         funcs = [catalog.x9_rep(n, i).realize() for i in range(len(catalog.X9L_REPRESENTATIVES[n]))]
-        buckets, _, _ = search.classify_functions(funcs)
+        buckets, _, _ = equiv.classify(funcs)
         assert len(buckets) == catalog.EXPECTED_CLASS_COUNTS[n]
         assert not any(b["unresolved"] for b in buckets)
+
+
+def _classify_agrees_with_profile(funcs):
+    _, profiles, escalated = equiv.classify(funcs)
+    for F, p in zip(funcs, profiles):
+        assert p.as_dict() == equiv.profile(F, with_gamma3=escalated).as_dict()
+    return profiles, escalated
+
+
+def test_batched_and_single_function_classification_agree(ctx5, ctx6):
+    job = search.SearchJob(field="n=5", shape="x9_plus_L_binary")
+    forms = [Form1(LinearizedPoly(ctx5, c1), LinearizedPoly(ctx5, c2))
+             for _, c1, c2, _ in search._candidates(job, ctx5, np.arange(32))]
+    hits = [form.realize() for form in forms if apn.is_apn_quadratic(form).is_apn]
+    assert len(hits) == 15
+    profiles, escalated = _classify_agrees_with_profile(hits)
+    assert escalated and None not in [p.gamma3_rank for p in profiles]
+    assert list(profiles[0].as_dict()) == [
+        "ext_walsh", "diff_spectrum", "gamma_rank", "delta_rank",
+        "ortho_diff_spectrum", "ortho_walsh_spectrum", "gamma3_rank",
+    ]
+    for n in range(4, 9):
+        _classify_agrees_with_profile([catalog.x9_rep(n, i).realize() for i in range(len(catalog.X9L_REPRESENTATIVES[n]))])
+    # x^3 and its square are EA-equivalent, so the batch escalates; x^9 is
+    # quadratic and not APN at n = 6
+    mixed = [power_map(ctx6, 3), power_map(ctx6, 9), power_map(ctx6, 6), catalog.x9_rep(6, 1).realize()]
+    profiles, escalated = _classify_agrees_with_profile(mixed)
+    assert escalated
+    assert equiv.classify([]) == ([], [], False)
+    assert profiles[1].ortho_diff_spectrum is profiles[1].ortho_walsh_spectrum is profiles[1].gamma3_rank is None
+    assert None not in [p.gamma3_rank for p in profiles[::2]]
+
+
+def test_profile_reads_the_degree_from_the_function(ctx6):
+    # assume_quadratic is ignored: a cubic's Walsh spectrum still comes from the transform
+    for F in (power_map(ctx6, 3), power_map(ctx6, 9), power_map(ctx6, 7)):
+        assert equiv.profile(F) == equiv.profile(F, assume_quadratic=True)
+    cubic = equiv.profile(power_map(ctx6, 7), assume_quadratic=True)
+    assert cubic.ext_walsh == equiv.extended_walsh(power_map(ctx6, 7))
+    assert cubic.ortho_diff_spectrum is None
 
 
 def test_profile_serialization(ctx6):

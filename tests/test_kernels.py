@@ -783,7 +783,7 @@ def test_batched_reverification_matches_the_naive_oracle(n, data):
     with mock.patch.object(apn, "_CHUNK", data.draw(st.integers(1, 64))):
         assert apn.batch_is_apn_quadratic(luts).tolist() == naive
         for F, v in zip(funcs, verdicts):
-            w = apn.is_apn_quadratic(F, assume_quadratic=True).witness
+            w = apn.is_apn_quadratic(F).witness
             assert (w and w.a) == (v.witness and v.witness.a)
     if n <= 6:
         tables = np.array(data.draw(st.lists(elements(n, 1 << n), min_size=1, max_size=3)))

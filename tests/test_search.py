@@ -48,23 +48,27 @@ def test_job_roundtrip_and_validation():
 
 
 def test_binary_scan_n5_classes(monkeypatch):
-    calls = {"profile": 0, "gamma3_rank": 0}
+    calls = {"_normals": [], "_gamma3": []}
     for name in calls:
         original = getattr(equiv, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def spied(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
 
-        monkeypatch.setattr(equiv, name, counted)
+        monkeypatch.setattr(equiv, name, spied)
     s = search.run(SearchJob(field="n=5", shape="x9_plus_L_binary"))
     assert len(s.hits) == 15
     assert "0,0,0,0,0" in s.hits and "1,1,1,1,1" in s.hits
     # two inequivalence classes among the hits; buckets hold several members
     # of one class each, so they stay (honestly) unresolved
     assert s.bucket_count == 2
-    # one profile per hit; the GF(3) escalation adds its rank to those profiles
-    assert calls == {"profile": 15, "gamma3_rank": 15}
+    # one ortho-derivative per hit, all from one batched call; the GF(3)
+    # escalation adds one rank per hit to the profiles, from the same rows
+    [(_, luts)] = calls["_normals"]
+    assert luts.shape == (15, 32)
+    assert len(calls["_gamma3"]) == 15
+    assert {F.lut.tobytes() for F, _ in calls["_gamma3"]} == {lut.tobytes() for lut in luts}
 
 
 def test_binary_scan_n6_empty():
