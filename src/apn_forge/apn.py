@@ -156,19 +156,25 @@ def _x2_plus_x_roots(ctx):
     return roots
 
 
-def _form1_cols(ctx, b1, b2, vs, p, q):
+def _form1_cols(ctx, m1, m2, vs, p, q):
     """cols[s, i, j] = L1(v_i p_j) + L2(v_i^3 q_j) for each row pair.  At
     (p, q) = (u2, u8) these are the linearized derivative at a with a^3 = v_i,
     on the basis, rescaled by a; at (1, 1) and (beta, 0) they are the values
     the nonzero and beta filters test.
 
-    b1 holds the basis images of the L1 rows or, as a bool array, their 0/1
-    coefficients, which linmap.apply_binary applies without images.  b2 may
-    hold one row, shared by every row of b1."""
+    m1 holds the linmap.image_tables of the L1 rows or, as a bool array,
+    their 0/1 coefficients, which linmap.apply_binary applies without
+    tables.  m2 holds the image tables of the L2 rows, or of one row shared
+    by every row of m1."""
     vs = np.asarray(vs)[:, None]
     p1 = ctx.mulv(vs, p)
-    cols1 = linmap.apply_binary(ctx, b1, p1) if b1.dtype == bool else linmap.apply_images(b1, p1)
-    return cols1 ^ linmap.apply_images(b2, ctx.mulv(ctx.pow_table(3)[vs], q))
+    cols1 = linmap.apply_binary(ctx, m1, p1) if isinstance(m1, np.ndarray) else linmap.apply_tables(m1, p1)
+    return cols1 ^ linmap.apply_tables(m2, ctx.mulv(ctx.pow_table(3)[vs], q))
+
+
+def _rows(m, keep):
+    """The rows keep of m: a bool coefficient array or a pair of image tables."""
+    return m[keep] if isinstance(m, np.ndarray) else (m[0][keep], m[1][keep])
 
 
 def _rank_test(ctx):
@@ -239,26 +245,31 @@ def _first_bad(ctx, c1, c2, vs, test):
     test is (p, q, bad, pairs): bad maps the _form1_cols of a block at (p, q)
     to a (row, v) bool array.  Rows are taken WALK_PAIRS at a time, and each
     slice walks vs in doubling blocks over its surviving rows only, at most
-    pairs (row, v) pairs a block.  A slice whose L1 coefficients are all 0 or
-    1 needs no basis images of L1.  When every L2 row of a slice is the same
-    (the x^9 + L(x^3) shapes have L2(x) = x), its images are taken once, and
-    their term of _form1_cols has one row that broadcasts over the slice.
+    pairs (row, v) pairs a block.  The value tables of a slice's rows are
+    built once, and a block that refutes rows drops their tables.  A slice
+    whose L1 coefficients are all 0 or 1 needs no tables of L1.  When every
+    L2 row of a slice is the same (the x^9 + L(x^3) shapes have L2(x) = x),
+    it gets one row of tables, whose term of _form1_cols broadcasts over the
+    slice.
     """
     p, q, bad, pairs = test
     first = np.full(len(c1), -1, dtype=np.int64)
     for lo in range(0, len(c1), WALK_PAIRS):
         s1, s2 = c1[lo : lo + WALK_PAIRS], c2[lo : lo + WALK_PAIRS]
-        b1 = s1.astype(bool) if s1.max(initial=0) <= 1 else linmap.basis_images(ctx, s1)
+        m1 = s1.astype(bool) if s1.max(initial=0) <= 1 else linmap.image_tables(linmap.basis_images(ctx, s1))
         shared = (s2 == s2[0]).all()
-        b2 = linmap.basis_images(ctx, s2[:1] if shared else s2)
-        alive = np.arange(len(b1))
+        m2 = linmap.image_tables(linmap.basis_images(ctx, s2[:1] if shared else s2))
+        alive = np.arange(len(s1))
         start, width = 0, 1
         while alive.size and start < len(vs):
             width = min(width, max(1, pairs // alive.size), len(vs) - start)
-            block = bad(_form1_cols(ctx, b1[alive], b2 if shared else b2[alive], vs[start : start + width], p, q))
+            block = bad(_form1_cols(ctx, m1, m2, vs[start : start + width], p, q))
             hit = block.any(axis=1)
-            first[lo + alive[hit]] = start + block[hit].argmax(axis=1)
-            alive = alive[~hit]
+            if hit.any():
+                first[lo + alive[hit]] = start + block[hit].argmax(axis=1)
+                alive = alive[~hit]
+                m1 = _rows(m1, ~hit)
+                m2 = m2 if shared else _rows(m2, ~hit)
             start += width
             width *= 2
     return first
@@ -319,8 +330,8 @@ def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
     if first < 0:
         return ApnVerdict(True, None, "quadratic")
     a_all, v_all = _coset_reps(ctx)
-    b1, b2 = linmap.basis_images(ctx, c1), linmap.basis_images(ctx, c2)
-    z = _kernel_extra(_form1_cols(ctx, b1, b2, v_all[first : first + 1], *_rank_test(ctx)[:2])[0, 0], 1)
+    m1, m2 = (linmap.image_tables(linmap.basis_images(ctx, c)) for c in (c1, c2))
+    z = _kernel_extra(_form1_cols(ctx, m1, m2, v_all[first : first + 1], *_rank_test(ctx)[:2])[0, 0], 1)
     a = int(a_all[first])
     return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
 

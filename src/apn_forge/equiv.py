@@ -16,31 +16,51 @@ import numpy as np
 from . import f2
 from .errors import DimensionTooLarge, NotQuadratic, NotQuadraticApn
 from .spectral import fwht, radical_dims
-from .vbf import VBF, bilinear_table, ddt_row_blocks, gram_elements
+from .vbf import VBF, bilinear_table, ddt_row_blocks
 from .linmap import LinearizedPoly
 
 
-def _multiset(values):
-    vals, counts = np.unique(np.asarray(values), return_counts=True)
-    return tuple((int(v), int(c)) for v, c in zip(vals, counts))
+def _row_counts(values, width):
+    """counts[i, v] = #{entries of values[i] equal to v} for values in
+    range(width), every row by one bincount: row i's values are tagged with
+    i * width."""
+    tags = width * np.arange(len(values)).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.bincount((values + tags).ravel(), minlength=len(values) * width).reshape(-1, width)
+
+
+def _pairs(counts):
+    """Per row of counts: its (value, count) pairs with count != 0, ascending."""
+    rows, vals = np.nonzero(counts)
+    pairs = list(zip(vals.tolist(), counts[rows, vals].tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=len(counts))).tolist()
+    return [tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def _walsh_spectra(ctx, luts):
+    """extended_walsh of each LUT of a batch (shape (B, 2^n)), from one fwht
+    over the int32 component signs, shape (B, 2^n - 1, 2^n)."""
+    logs = ctx.log_table[1:, None] + ctx.log_table[luts][:, None, :]
+    signs = 1 - 2 * ctx.trace_table()[ctx.antilog_table[logs]].astype(np.int32)
+    return _pairs(_row_counts(np.abs(fwht(signs)), ctx.order + 1))
+
+
+def _diff_spectra(luts):
+    """diff_spectrum of each LUT of a batch (shape (B, 2^n)), from one ddt_row_blocks walk."""
+    width = luts.shape[-1] + 1
+    acc = np.zeros((len(luts), width), dtype=np.int64)
+    for _, C in ddt_row_blocks(luts):
+        acc += _row_counts(C, width)
+    return _pairs(acc)
 
 
 def extended_walsh(F: VBF):
     """Multiset of |Walsh| over all components lambda != 0 and all u."""
-    ctx = F.ctx
-    lam = np.arange(1, ctx.order, dtype=np.int64)
-    prods = ctx.antilog_table[ctx.log_table[lam][:, None] + ctx.log_table[F.lut][None, :]]
-    signs = 1 - 2 * ctx.trace_table()[prods].astype(np.int64)
-    spec = fwht(signs)
-    return _multiset(np.abs(spec).ravel())
+    return _walsh_spectra(F.ctx, F.lut[None])[0]
 
 
 def diff_spectrum(F: VBF):
     """Multiset of differential counts over all a != 0 and all b."""
-    acc = np.zeros(F.ctx.order + 1, dtype=np.int64)
-    for _, C in ddt_row_blocks(F):
-        acc += np.bincount(C.ravel(), minlength=F.ctx.order + 1)
-    return tuple((int(v), int(c)) for v, c in enumerate(acc) if c)
+    return _diff_spectra(F.lut[None])[0]
 
 
 def _incidence_rows(points, n2):
@@ -114,8 +134,8 @@ def _component_labels(s, t, size):
         lo = np.minimum(ls, lt)
         np.minimum.at(lab, ls, lo)
         np.minimum.at(lab, lt, lo)
-        while not np.array_equal(lab[lab], lab):
-            lab = lab[lab]
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
 
 
 def gamma3_rank(F: VBF):
@@ -140,7 +160,8 @@ def gamma3_rank(F: VBF):
     vertices on edges minus the number of balanced components.
     """
     _check_gamma3_dim(F.ctx)
-    return _gamma3(F, _ortho_lut(F))
+    [rank] = _gamma3_ranks(F.ctx, F.lut[None], _ortho_lut(F)[None])
+    return rank
 
 
 def _check_gamma3_dim(ctx):
@@ -148,31 +169,42 @@ def _check_gamma3_dim(ctx):
         raise DimensionTooLarge("gamma3_rank is supported for n <= 6")
 
 
-def _gamma3(F: VBF, p):
-    """gamma3_rank of quadratic APN F from p, the ortho-derivative LUT of F + F(0)."""
-    ctx = F.ctx
-    q = ctx.order
+def _gamma3_ranks(ctx, luts, pis):
+    """gamma3_rank of each quadratic APN function of a batch (shape (B, 2^n))
+    from pis[i], the ortho-derivative LUT of F_i + F_i(0).  The signed graphs
+    of all functions are labelled by one _component_labels call on their
+    disjoint union, and each function's balanced components are counted
+    among its own nodes."""
+    n, q = ctx.n, ctx.order
     el = ctx.elements()
-    g = F.lut ^ F(0)
     tr = ctx.trace_table()
-    # rep[w, a] = min of a + R_w, where R_w = {0} + pi^-1(w) and R_0 is the whole space
-    rep = np.tile(el, (q, 1))
-    np.minimum.at(rep, p[1:], el[1:, None] ^ el)
-    rep[0] = 0
-    ell = tr[ctx.mulv(el[:, None], g[rep ^ el])]
-    eps = tr[ctx.mulv(p, g)]
-    a, w = np.nonzero(el < (el ^ p[:, None]))  # one edge per a != 0 and pair {w, w + pi(a)}
-    w2 = w ^ p[a]
-    flip = 1 ^ ell[w, a] ^ ell[w2, a] ^ eps[a]
-    # vertex (w, rep) is w * q + rep; vertices on no edge are balanced components of
-    # one vertex and cancel.  In the 2-lift, node 2x + s is vertex x with sign s, and
-    # a component is balanced iff its lift falls in two.
-    s, t = 2 * (w * q + rep[w, a]), 2 * (w2 * q + rep[w2, a]) + flip
-    lab = _component_labels(np.concatenate([s, s + 1]), np.concatenate([t, t ^ 1]), 2 * q * q)
-    node = np.arange(lab.size)
+    p = pis.astype(np.int64)
+    g = luts ^ luts[:, :1]
+    # rep[i, w, a] = min of a + R_w, where R_w = {0} + pi_i^-1(w) and R_0 is the whole space
+    rep = np.tile(el, (len(p), q, 1))
+    np.minimum.at(rep, (np.arange(len(p))[:, None], p[:, 1:]), el[1:, None] ^ el)
+    rep[:, 0] = 0
+    rep = rep.reshape(len(p), -1)
+    # ell[i, w, a] = l_w(a + rep_w(a)) and eps[i, a], flattened
+    ell = tr[ctx.mulv(np.repeat(el, q), np.take_along_axis(g, rep ^ np.tile(el, q), axis=1))].ravel()
+    eps = tr[ctx.mulv(p, g)].ravel()
+    rep = rep.ravel()
+    # the flat index (i q + w) q + a of the end w of each edge, one edge per a != 0 and
+    # pair {w, w' = w + pi_i(a)}; its end w' is at e1 ^ (pi_i(a) << n)
+    e1 = np.flatnonzero(el[:, None] < (el[:, None] ^ p[:, None, :]))
+    a = e1 & (q - 1)
+    ia = (e1 >> (2 * n) << n) | a
+    e2 = e1 ^ (p.ravel()[ia] << n)
+    flip = 1 ^ ell[e1] ^ ell[e2] ^ eps[ia]
+    # vertex (w, rep) of function i is (i q + w) q + rep; vertices on no edge are
+    # balanced components of one vertex and cancel.  In the 2-lift, node 2x + s is
+    # vertex x with sign s, and a component is balanced iff its lift falls in two.
+    s, t = 2 * (e1 - a + rep[e1]), 2 * (e2 - a + rep[e2]) + flip
+    lab = _component_labels(np.concatenate([s, s + 1]), np.concatenate([t, t ^ 1]), 2 * rep.size)
+    roots = np.flatnonzero(lab == np.arange(lab.size))
     # each of the two roots of a balanced lift has its other sign under the other root
-    balanced = np.count_nonzero((lab == node) & (lab[node ^ 1] != node)) // 2
-    return int(q * q - balanced)
+    balanced = roots[lab[roots ^ 1] != roots]
+    return (q * q - np.bincount(balanced >> (2 * n + 1), minlength=len(p)) // 2).tolist()
 
 
 def _normals(ctx, luts):
@@ -192,30 +224,14 @@ def _normals(ctx, luts):
     return pi, np.where(bad.any(axis=1), bad.argmax(axis=1), 0)
 
 
-def _ortho_rows(funcs):
-    """Per function of funcs (quadratic, on one field): the ortho-derivative
-    LUT of F + F(0) in the narrowest unsigned type, and the first a whose
-    derivative image is not a hyperplane, or 0 (see _normals).  A _normals
-    call holds about 2^16 / n entries of each (B, 2^n, n) elimination array."""
-    if not funcs:
-        return []
-    ctx = funcs[0].ctx
-    step = max(1, (1 << 16) // (ctx.order * ctx.n * ctx.n))
-    rows = []
-    for lo in range(0, len(funcs), step):
-        pis, bads = _normals(ctx, np.stack([F.lut for F in funcs[lo : lo + step]]))
-        rows += zip(pis.astype(np.min_scalar_type(ctx.order - 1)), bads.tolist())
-    return rows
-
-
 def _ortho_lut(F: VBF):
     """The ortho-derivative LUT of F + F(0)."""
     if F.algebraic_degree() > 2:
         raise NotQuadratic("requires a quadratic function")
-    [(pi, bad)] = _ortho_rows([F])
+    pi, [bad] = _normals(F.ctx, F.lut[None])
     if bad:
         raise NotQuadraticApn(f"derivative image at a={bad} is not a hyperplane")
-    return pi.astype(np.int64)
+    return pi[0]
 
 
 def ortho_derivative(F: VBF) -> VBF:
@@ -227,17 +243,18 @@ def ortho_derivative(F: VBF) -> VBF:
 
 
 def _walsh_of_dims(n, dims):
-    """extended_walsh of a quadratic function on GF(2^n) from its radical
-    dims (index lambda): a component whose radical has dimension k has
-    2^n - 2^(n-k) zeros and 2^(n-k) values of magnitude 2^((n+k)/2) (Berger,
-    Canteaut, Charpin and Laigle-Chapuy, IEEE TIT 2006)."""
-    q = 1 << n
-    acc = {}
-    for k, count in zip(*np.unique(dims[1:], return_counts=True)):
-        support = 1 << (n - int(k))
-        for value, times in ((0, q - support), (1 << ((n + int(k)) // 2), support)):
-            acc[value] = acc.get(value, 0) + int(count) * times
-    return tuple(sorted((v, c) for v, c in acc.items() if c))
+    """extended_walsh of each quadratic function of a batch on GF(2^n) from
+    its radical dims (shape (B, 2^n), index lambda), all counted by one
+    bincount: a component whose radical has dimension k has 2^n - 2^(n-k)
+    zeros and 2^(n-k) values of magnitude 2^((n+k)/2) (Berger, Canteaut,
+    Charpin and Laigle-Chapuy, IEEE TIT 2006)."""
+    q, k = 1 << n, np.arange(n + 1)
+    support = q >> k
+    # weights[k, v]: how many Walsh values v one component with radical dimension k has
+    weights = np.zeros((n + 1, q + 1), dtype=np.int64)
+    weights[k, 0] = q - support
+    weights[k, 1 << ((n + k) // 2)] += support
+    return _pairs(_row_counts(dims[:, 1:], n + 1) @ weights)
 
 
 @dataclass
@@ -268,35 +285,85 @@ def profile(F: VBF, with_gamma3=False, assume_quadratic=False):
     quadratic APN.  So is the GF(3) translate rank, when with_gamma3 asks
     for it: the escalation step for pairs the binary invariants cannot
     split.  The graph and difference-set ranks stay None here: gamma_rank
-    and delta_rank compute them on their own.  A quadratic F's extended
-    Walsh spectrum comes from its radical dims instead of a transform.
-    assume_quadratic is ignored: the degree is read from F.
+    and delta_rank compute them on their own.  A quadratic F is a batch of
+    one for the kernels of classify.  assume_quadratic is ignored: the
+    degree is read from F.
     """
     if F.algebraic_degree() > 2:
         return InvariantProfile(ext_walsh=extended_walsh(F), diff_spectrum=diff_spectrum(F))
-    [(pi, bad)] = _ortho_rows([F])
-    return _quadratic_profile(F, pi, bad, with_gamma3)
+    profiles, orthos = _quadratic_profiles([F])
+    if with_gamma3:
+        _add_gamma3([F], profiles, orthos)
+    return profiles[0]
 
 
-def _quadratic_profile(F: VBF, pi, bad, with_gamma3=False):
-    """profile of quadratic F from its ortho-derivative row (see _ortho_rows)."""
-    walsh = _walsh_of_dims(F.ctx.n, radical_dims(F.ctx, gram_elements(F)))
-    p = InvariantProfile(ext_walsh=walsh, diff_spectrum=diff_spectrum(F))
-    if not bad:
-        od = VBF(F.ctx, pi)
-        p.ortho_diff_spectrum = diff_spectrum(od)
-        p.ortho_walsh_spectrum = extended_walsh(od)
-        if with_gamma3:
-            _check_gamma3_dim(F.ctx)
-            p.gamma3_rank = _gamma3(F, pi)
-    return p
+# A profile chunk holds about this many entries per function array; the largest,
+# the Walsh signs of an ortho-derivative, has 2^n (2^n - 1) entries a function.
+PROFILE_CHUNK = 1 << 16
+
+# A batched GF(3) rank labels a union graph of about this many nodes, 2^(2n+1) a
+# function.  CPU ms per rank (one core of a 2-core x86-64 machine), by functions
+# per call: n = 5, 1: 0.18, 4: 0.12, 8: 0.13, 16: 0.15; n = 6, 1: 0.41, 2: 0.46,
+# 8: 0.51.  A larger union leaves the cache; a smaller one pays call overhead.
+GAMMA3_NODES = 1 << 13
+
+
+def _quadratic_profiles(funcs):
+    """Profiles of quadratic functions on one field, without GF(3) ranks, and
+    per function the ortho-derivative LUT of F + F(0) in the narrowest
+    unsigned type, or None where a derivative image is not a hyperplane.
+
+    Functions go PROFILE_CHUNK / 4^n at a time (at least one), and a chunk
+    makes one call per kernel: _normals for the ortho-derivatives,
+    radical_dims for the extended Walsh spectra, one ddt_row_blocks walk for
+    the differential spectra of the functions and of their ortho-derivatives,
+    and one fwht for the ortho-derivatives' Walsh spectra.
+    """
+    if not funcs:
+        return [], []
+    ctx = funcs[0].ctx
+    basis = 1 << np.arange(ctx.n, dtype=np.int64)
+    step = max(1, PROFILE_CHUNK // (ctx.order * ctx.order))
+    profiles, orthos = [], []
+    for lo in range(0, len(funcs), step):
+        luts = np.stack([F.lut for F in funcs[lo : lo + step]])
+        pis, bads = _normals(ctx, luts)
+        pis = pis[bads == 0].astype(np.min_scalar_type(ctx.order - 1))
+        walsh = _walsh_of_dims(ctx.n, radical_dims(ctx, bilinear_table(luts, basis)))
+        diffs = _diff_spectra(np.concatenate([luts, pis]))
+        ortho = zip(pis, diffs[len(luts) :], _walsh_spectra(ctx, pis))
+        for w, d, bad in zip(walsh, diffs, bads):
+            p = InvariantProfile(ext_walsh=w, diff_spectrum=d)
+            pi = None
+            if not bad:
+                pi, p.ortho_diff_spectrum, p.ortho_walsh_spectrum = next(ortho)
+            profiles.append(p)
+            orthos.append(pi)
+    return profiles, orthos
+
+
+def _add_gamma3(funcs, profiles, orthos):
+    """Fill in the GF(3) translate rank of each function with an
+    ortho-derivative (see _quadratic_profiles), GAMMA3_NODES / 2^(2n+1) of
+    them (at least one) per _gamma3_ranks call."""
+    apns = [i for i, pi in enumerate(orthos) if pi is not None]
+    if not apns:
+        return
+    ctx = funcs[0].ctx
+    _check_gamma3_dim(ctx)
+    step = max(1, GAMMA3_NODES // (2 * ctx.order * ctx.order))
+    for lo in range(0, len(apns), step):
+        part = apns[lo : lo + step]
+        ranks = _gamma3_ranks(ctx, np.stack([funcs[i].lut for i in part]), np.stack([orthos[i] for i in part]))
+        for i, rank in zip(part, ranks):
+            profiles[i].gamma3_rank = rank
 
 
 # GF(3) escalation runs only up to this many functions.  One translate rank is
 # a signed-graph count on the ortho-derivative classify already derived, about
-# 0.23 ms at n = 5 and 0.46 ms at n = 6 (CPU, one core of a 2-core x86-64
-# machine); the limit stays because raising it would add ranks to the records
-# of larger hit sets.
+# 0.12 ms at n = 5 and 0.41 ms at n = 6 in unions of GAMMA3_NODES nodes (CPU,
+# one core of a 2-core x86-64 machine); the limit stays because raising it would
+# add ranks to the records of larger hit sets.
 ESCALATE_LIMIT = 64
 
 
@@ -304,22 +371,20 @@ def classify(funcs):
     """Bucket quadratic functions on one field by invariant profile.  The
     degree is not checked: search hits and catalogued Form1s are quadratic.
 
-    The ortho-derivatives come a batch at a time (_ortho_rows), and each
-    function is profiled from its own.  If a bucket is unresolved at n <= 6
-    and there are at most ESCALATE_LIMIT functions, the GF(3) translate rank
-    of each quadratic APN function joins its profile and they are
-    partitioned again.  Bucket counts are inequivalence lower bounds.
+    The profiles come a chunk at a time (_quadratic_profiles).  If a bucket
+    is unresolved at n <= 6 and there are at most ESCALATE_LIMIT functions,
+    the GF(3) translate rank of each quadratic APN function joins its
+    profile, many functions a call (_add_gamma3), and they are partitioned
+    again.
+    Bucket counts are inequivalence lower bounds.
     Returns (buckets, profiles, escalated).
     """
-    rows = _ortho_rows(funcs)
-    profiles = [_quadratic_profile(F, pi, bad) for F, (pi, bad) in zip(funcs, rows)]
+    profiles, orthos = _quadratic_profiles(funcs)
     buckets = partition(funcs, profiles=profiles)
     unresolved = any(b["unresolved"] for b in buckets)
     escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
     if escalated:
-        for F, p, (pi, bad) in zip(funcs, profiles, rows):
-            if not bad:
-                p.gamma3_rank = _gamma3(F, pi)
+        _add_gamma3(funcs, profiles, orthos)
         buckets = partition(funcs, profiles=profiles)
     return buckets, profiles, escalated
 

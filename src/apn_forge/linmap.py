@@ -133,18 +133,21 @@ def basis_images(ctx, coeffs):
     return out
 
 
-def apply_images(images, points):
-    """out[s, ...] = L_s(points) for the maps with L_s(e_j) = images[s, j].
-
-    Each map gets two value tables, over the low h = ceil(n/2) bits of a point
-    and over the rest, so L_s(x) = low[s, x & (2^h - 1)] ^ high[s, x >> h]:
-    2 * 2^h table entries per map and two gathers per (map, point) pair,
-    held in the narrowest unsigned dtype that fits n bits.
-    """
+def image_tables(images):
+    """The two value tables of each map with L_s(e_j) = images[s, j]: over the
+    low h = ceil(n/2) bits of a point and over the rest, so that
+    L_s(x) = low[s, x & (2^h - 1)] ^ high[s, x >> h].  2 * 2^h entries per
+    map, in the narrowest unsigned dtype that fits n bits."""
     n = images.shape[-1]
     h = (n + 1) // 2
     images = images.astype(np.min_scalar_type((1 << n) - 1))
-    low, high = f2.expand_linear(images[:, :h]), f2.expand_linear(images[:, h:])
+    return f2.expand_linear(images[:, :h]), f2.expand_linear(images[:, h:])
+
+
+def apply_tables(tables, points):
+    """out[s, ...] = L_s(points) from the image_tables of the maps: two gathers per (map, point) pair."""
+    low, high = tables
+    h = low.shape[1].bit_length() - 1
     points = np.asarray(points)
     return np.take(low, points & ((1 << h) - 1), axis=1) ^ np.take(high, points >> h, axis=1)
 
@@ -152,7 +155,7 @@ def apply_images(images, points):
 def apply_binary(ctx, coeffs, points):
     """out[s, ...] = L_s(points) = XOR_k c_sk points^(2^k) for 0/1 coefficient
     rows: no basis images and no field products, only n squarings of the
-    points.  Same dtype as apply_images."""
+    points.  Same dtype as apply_tables."""
     points = np.asarray(points)
     dt = np.min_scalar_type(ctx.order - 1)
     c = np.asarray(coeffs).astype(dt).reshape((len(coeffs),) + (1,) * points.ndim + (ctx.n,))

@@ -25,9 +25,9 @@ EXHAUSTIVE_LIMIT = 1 << 26
 
 # Hits are profiled only up to this many: each profile takes the differential
 # spectra of a hit and of its ortho-derivative and the Walsh spectrum of the
-# ortho-derivative, about 0.4 ms at n = 5, 4 ms at n = 8 and 76 ms at n = 10
-# (CPU, one core of a 2-core x86-64 machine), and a bucket count says little
-# over thousands of hits (the 20160 at n = 4 are one class).
+# ortho-derivative, about 0.08 ms at n = 5, 3.3 ms at n = 8 and 52 ms at n = 10
+# in chunks (CPU, one core of a 2-core x86-64 machine), and a bucket count says
+# little over thousands of hits (the 20160 at n = 4 are one class).
 PROFILE_HIT_LIMIT = 2048
 
 SHAPES = ("x9_plus_L_binary", "x9_plus_L_full", "form1_binary", "form1_random")

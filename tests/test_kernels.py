@@ -532,7 +532,8 @@ def test_lut_compose_and_apply_images_match_eval(data):
     assert L.lut()[xs].tolist() == [L.eval(x) for x in xs]
     assert [L.compose(M).eval(x) for x in xs] == [L.eval(M.eval(x)) for x in xs]
     images = linmap.basis_images(ctx, [L.coeffs, M.coeffs])
-    assert linmap.apply_images(images, np.array(xs)).tolist() == [L.lut()[xs].tolist(), M.lut()[xs].tolist()]
+    tables = linmap.image_tables(images)
+    assert linmap.apply_tables(tables, np.array(xs)).tolist() == [L.lut()[xs].tolist(), M.lut()[xs].tolist()]
 
 
 @PROPERTY
@@ -743,7 +744,8 @@ def test_kernel_vector_limits():
 @given(data=st.data())
 def test_walsh_spectrum_from_radical_dims_matches_the_transform(n, data):
     F = data.draw(quadratics(n))
-    assert equiv._walsh_of_dims(n, spectral.radical_dims(F.ctx, gram_elements(F))) == equiv.extended_walsh(F)
+    [walsh] = equiv._walsh_of_dims(n, spectral.radical_dims(F.ctx, gram_elements(F)[None]))
+    assert walsh == equiv.extended_walsh(F)
     assert equiv.profile(F, assume_quadratic=True).ext_walsh == equiv.extended_walsh(F)
 
 
@@ -808,3 +810,85 @@ def test_subfield8_trace_zero_is_cached_and_the_roots_of_y3_y_1(n):
     assert isinstance(roots, tuple) and apn._subfield8_trace_zero(ctx) is roots
     assert len(set(roots)) == 3 and list(roots) == sorted(roots)
     assert all(ctx.pow(y, 3) ^ y ^ 1 == 0 for y in roots)
+
+
+def _naive_diff_spectrum(lut):
+    """Multiset of DDT[a][b] over a != 0 and all b, one direction at a time."""
+    x = np.arange(len(lut))
+    counts = np.concatenate([np.bincount(lut[x ^ a] ^ lut, minlength=len(lut)) for a in range(1, len(lut))])
+    return tuple((int(v), int(c)) for v, c in zip(*np.unique(counts, return_counts=True)))
+
+
+def _naive_ext_walsh(ctx, lut):
+    """Multiset of |Walsh| over the components lambda != 0, one fwht of int64 signs each."""
+    values = []
+    for lam in range(1, ctx.order):
+        signs = np.array([1 - 2 * ctx.trace(ctx.mul(lam, int(y))) for y in lut], dtype=np.int64)
+        values.append(np.abs(spectral.fwht(signs)))
+    return tuple((int(v), int(c)) for v, c in zip(*np.unique(np.concatenate(values), return_counts=True)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@settings(PROPERTY, max_examples=8)
+@given(data=st.data())
+def test_batched_profiles_match_per_function_oracles(n, data):
+    # mixed batches of APN functions (possibly EA-transformed, constants
+    # included), random quadratics and, at n = 6, the quadratic non-APN x^9;
+    # the batch is 1 below, at or 1 above a multiple of the profile chunk
+    ctx = mk_field(n)
+    apns = _quadratic_apn(n)
+    step = data.draw(st.integers(1, 3))
+    size = max(1, step * data.draw(st.integers(1, 2)) + data.draw(st.integers(-1, 1)))
+    funcs = [data.draw(st.sampled_from(apns)) for _ in range(size)]
+    funcs = [equiv.random_ea_transform(F, random.Random(s)) if s else F for F, s in zip(funcs, data.draw(elements(8, size)))]
+    funcs += data.draw(st.lists(quadratics(n), max_size=2)) + ([vbf.power_map(ctx, 9)] if n == 6 else [])
+    funcs = [funcs[i] for i in data.draw(st.permutations(range(len(funcs))))]
+    with mock.patch.object(equiv, "PROFILE_CHUNK", step * ctx.order**2), \
+            mock.patch.object(vbf, "DDT_BLOCK", data.draw(st.integers(1, 1 << 10))):
+        profiles, orthos = equiv._quadratic_profiles(funcs)
+    for F, p, pi in zip(funcs, profiles, orthos):
+        assert p.diff_spectrum == _naive_diff_spectrum(F.lut)
+        assert p.ext_walsh == _naive_ext_walsh(ctx, F.lut)
+        expect, _ = _oracle_or_bad(VBF(ctx, F.lut ^ F(0)))
+        if expect is None:
+            assert pi is p.ortho_diff_spectrum is p.ortho_walsh_spectrum is None
+            continue
+        assert np.array_equal(pi, expect)
+        assert p.ortho_diff_spectrum == _naive_diff_spectrum(expect)
+        assert p.ortho_walsh_spectrum == _naive_ext_walsh(ctx, expect)
+    assert sum(pi is None for pi in orthos) == sum(p.ortho_diff_spectrum is None for p in profiles) >= (n == 6)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.data())
+def test_union_graph_gamma3_ranks_match_elimination(data):
+    # ranks of a mixed batch from union graphs of 1 to 3 functions, with the
+    # APN count 1 below, at or 1 above a multiple of that; the non-APN rows
+    # get none
+    n = data.draw(st.integers(3, 5))
+    ctx = mk_field(n)
+    step = data.draw(st.integers(1, 3))
+    size = max(1, step * data.draw(st.integers(1, 2)) + data.draw(st.integers(-1, 1)))
+    funcs = [data.draw(st.sampled_from(_quadratic_apn(n))) for _ in range(size)]
+    funcs = [equiv.random_ea_transform(F, random.Random(s)) if s else F for F, s in zip(funcs, data.draw(elements(8, size)))]
+    funcs += data.draw(st.lists(quadratics(n), max_size=2))
+    funcs = [funcs[i] for i in data.draw(st.permutations(range(len(funcs))))]
+    profiles, orthos = equiv._quadratic_profiles(funcs)
+    with mock.patch.object(equiv, "GAMMA3_NODES", step * 2 * ctx.order**2), \
+            mock.patch.object(equiv, "_gamma3_ranks", wraps=equiv._gamma3_ranks) as ranks:
+        equiv._add_gamma3(funcs, profiles, orthos)
+    apns = sum(pi is not None for pi in orthos)
+    assert ranks.call_count == -(-apns // step)
+    for F, p, pi in zip(funcs, profiles, orthos):
+        assert p.gamma3_rank == (None if pi is None else f3_oracle.translate_rank(F))
+
+
+def test_union_graph_gamma3_ranks_n6(ctx6):
+    # the two n = 6 classes and the non-APN x^9, ranked by one labelling
+    funcs = [vbf.power_map(ctx6, 9), catalog.x9_rep(6, 1).realize(), vbf.power_map(ctx6, 3)]
+    profiles, orthos = equiv._quadratic_profiles(funcs)
+    with mock.patch.object(equiv, "GAMMA3_NODES", 2 * 2 * ctx6.order**2), \
+            mock.patch.object(equiv, "_component_labels", wraps=equiv._component_labels) as labels:
+        equiv._add_gamma3(funcs, profiles, orthos)
+    assert labels.call_count == 1
+    assert [p.gamma3_rank for p in profiles] == [None] + [f3_oracle.translate_rank(F) for F in funcs[1:]]

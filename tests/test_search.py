@@ -14,7 +14,7 @@ from apn_forge.errors import JobTooLarge
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.search import SearchJob
-from apn_forge.vbf import Form1
+from apn_forge.vbf import VBF, Form1
 
 
 def file_hash(path):
@@ -48,7 +48,7 @@ def test_job_roundtrip_and_validation():
 
 
 def test_binary_scan_n5_classes(monkeypatch):
-    calls = {"_normals": [], "_gamma3": []}
+    calls = {"_normals": [], "_gamma3_ranks": []}
     for name in calls:
         original = getattr(equiv, name)
 
@@ -64,11 +64,16 @@ def test_binary_scan_n5_classes(monkeypatch):
     # of one class each, so they stay (honestly) unresolved
     assert s.bucket_count == 2
     # one ortho-derivative per hit, all from one batched call; the GF(3)
-    # escalation adds one rank per hit to the profiles, from the same rows
-    [(_, luts)] = calls["_normals"]
+    # escalation adds one rank per hit to the profiles, from batched calls on
+    # the same rows
+    [(ctx, luts)] = calls["_normals"]
     assert luts.shape == (15, 32)
-    assert len(calls["_gamma3"]) == 15
-    assert {F.lut.tobytes() for F, _ in calls["_gamma3"]} == {lut.tobytes() for lut in luts}
+    rank_luts = np.concatenate([args[1] for args in calls["_gamma3_ranks"]])
+    pis = np.concatenate([args[2] for args in calls["_gamma3_ranks"]])
+    assert rank_luts.shape == pis.shape == (15, 32)
+    assert {lut.tobytes() for lut in rank_luts} == {lut.tobytes() for lut in luts}
+    for lut, pi in zip(rank_luts, pis):
+        assert np.array_equal(pi, equiv.ortho_derivative(VBF(ctx, lut)).lut)
 
 
 def test_binary_scan_n6_empty():
@@ -194,6 +199,15 @@ def test_shared_l2_full_pin(tmp_path):
     s = search.run(job, out_path=path)
     assert file_hash(path) == "d53974c7f1703da3c614a7edbf6be177dd312769afb268aac0b8b7dec4263b8d"
     assert s.verdicts == {"apn": 6, "fail": 4994} and s.bucket_count == 2
+
+
+def test_form1_binary_n6_profiled_pin(tmp_path):
+    # 384 hits, every one profiled, across many profile chunks; one unresolved
+    # bucket, so at more than ESCALATE_LIMIT hits no GF(3) rank is taken
+    path = tmp_path / "records.jsonl"
+    s = search.run(SearchJob(field="n=6", shape="form1_binary"), out_path=path)
+    assert file_hash(path) == "15bc4caef27a24aae2b3757e3cd8c49ca1a56893364530e7c16c55a01a151853"
+    assert len(s.hits) == 384 and s.bucket_count == 1 and s.unresolved
 
 
 def test_record_schema(tmp_path):
