@@ -37,10 +37,10 @@ def _pairs(counts):
 
 
 def _walsh_spectra(ctx, luts):
-    """extended_walsh of each LUT of a batch (shape (B, 2^n)), from one fwht
-    over the int32 component signs, shape (B, 2^n - 1, 2^n)."""
-    logs = ctx.log_table[1:, None] + ctx.log_table[luts][:, None, :]
-    signs = 1 - 2 * ctx.trace_table()[ctx.antilog_table[logs]].astype(np.int32)
+    """extended_walsh of each LUT of a batch (shape (B, 2^n)), from one fwht over
+    the int32 component signs of ctx.trace_forms, shape (B, 2^n - 1, 2^n)."""
+    bits = ctx.trace_forms(luts[..., None]).swapaxes(-1, -2)[:, 1:]
+    signs = 1 - 2 * bits.astype(np.int32, order="C")  # fwht works in place on a C-ordered array
     return _pairs(_row_counts(np.abs(fwht(signs)), ctx.order + 1))
 
 

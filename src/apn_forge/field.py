@@ -243,6 +243,12 @@ class FieldCtx:
             self._trace_masks = masks
         return self._trace_masks
 
+    def trace_forms(self, values):
+        """out[..., lam] = sum_j Tr(lam * values[..., j]) 2^j for every lam, in the narrowest
+        unsigned dtype: lam -> Tr(lam * v) is F2-linear and sends e_t to bit t of T[v]."""
+        rows = f2.transpose(self.trace_masks()[values], self.n)
+        return f2.expand_linear(rows.astype(np.min_scalar_type((1 << np.shape(values)[-1]) - 1)))
+
     def elements(self):
         return np.arange(self.order, dtype=np.int64)
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import f2
+from . import apn, f2
 from .errors import InternalCheckFailed, NotQuadratic, OddDimension
 from .vbf import VBF, BooleanFunction, Form1, bilinear_table, ddt_row_blocks
-from .vbf import deriv_basis_table, gram_elements
+from .vbf import gram_elements
 
 
 class WalshSpectrum:
@@ -76,14 +76,10 @@ def _check_quadratic(F: VBF):
 
 def radical_dims(ctx, phi):
     """dim V_lambda, the radical of Tr(lambda phi), for every lambda: a batch of
-    Gram tables phi of shape (..., n, n) gives shape (..., 2^n), indexed by lambda."""
-    n = ctx.n
-    lead = phi.shape[:-2]
-    lam = np.arange(ctx.order, dtype=np.int64)[:, None]
-    prods = ctx.mulv(lam, phi.reshape(lead + (1, n * n)))
-    bits = ctx.trace_table()[prods].astype(np.int64).reshape(lead + (ctx.order, n, n))
-    rows = (bits << np.arange(n, dtype=np.int64)).sum(axis=-1)
-    return n - f2.batch_rank(rows.reshape(-1, n), n).reshape(lead + (ctx.order,))
+    Gram tables phi of shape (..., n, n) gives shape (..., 2^n), indexed by lambda.
+    The lambda-forms are ctx.trace_forms(phi), ranked by one f2.batch_rank call."""
+    rows = np.moveaxis(ctx.trace_forms(phi), -1, -2).reshape(-1, ctx.n)
+    return ctx.n - f2.batch_rank(rows, ctx.n).reshape(phi.shape[:-2] + (ctx.order,))
 
 
 def _vdims_quadratic(F: VBF):
@@ -175,11 +171,9 @@ def apn_sum_check(F: VBF):
 
 def unique_lambda_check(form: Form1):
     """True iff every nonzero a admits exactly one nonzero lambda making
-    D_a f_lambda constant; equivalent to the APN property of the realized map."""
-    F = form.realize()
-    n = F.ctx.n
-    rows = F.ctx.trace_masks()[deriv_basis_table(F)[1:]]  # packed masks over lambda-bits
-    return bool(np.all(f2.batch_rank(rows, n) == n - 1))
+    D_a f_lambda constant: the kernel test of apn.is_apn_quadratic on the realized
+    map, since the trace masks T[phi(a, e_j)] have the rank of the phi(a, e_j)."""
+    return apn.is_apn_quadratic(form.realize()).is_apn
 
 
 def conjecture_check(f):

@@ -94,12 +94,36 @@ def test_gram_is_the_bilinear_table_at_the_basis(F):
     assert np.array_equal(gram_elements(F), deriv_basis_table(F)[basis])
 
 
-@PROPERTY
-@given(st.data())
-def test_radical_dims_match_v_lambda(data):
-    n = data.draw(dims)
+@pytest.mark.parametrize("n", range(2, 13))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_trace_forms_pack_the_trace_of_every_product(n, data):
+    # the definition: bit j of out[..., lam] is Tr(lam * values[..., j]), for every lam
     ctx = mk_field(n)
-    rows = data.draw(st.lists(elements(n, 2 * n), min_size=1, max_size=3))
+    m = data.draw(st.sampled_from([1, n]))
+    values = np.array(data.draw(st.lists(elements(n, m), min_size=1, max_size=3)))
+    values[0, 0] = 0
+    lam = ctx.elements()[:, None]
+    bits = ctx.trace_table()[ctx.mulv(lam, values[:, None, :])].astype(np.int64)
+    got = ctx.trace_forms(values)
+    assert got.dtype == np.min_scalar_type((1 << m) - 1)
+    assert np.array_equal(got, (bits << np.arange(m)).sum(axis=-1))
+
+
+@st.composite
+def form1_batches(draw):
+    """(n, rows): 1..3 Form1s on GF(2^n), n = 2..9, each row the coefficients of L1, then of L2."""
+    n = draw(st.integers(2, 9))
+    return n, draw(st.lists(elements(n, 2 * n), min_size=1, max_size=3))
+
+
+@PROPERTY
+@given(form1_batches())
+@example((8, [[133, 246, 83, 32, 114, 54, 140, 199, 61, 154, 182, 208, 170, 81, 127, 29]]))
+@example((9, [[1] + [0] * 8 + [1] * 9, [0] * 9 + [3, 0, 0, 0, 0, 0, 0, 0, 0]]))
+def test_radical_dims_match_v_lambda(batch):
+    n, rows = batch
+    ctx = mk_field(n)
     funcs = [Form1(LinearizedPoly(ctx, c[:n]), LinearizedPoly(ctx, c[n:])).realize() for c in rows]
     got = spectral.radical_dims(ctx, np.stack([gram_elements(F) for F in funcs]))
     assert got.shape == (len(funcs), ctx.order)
@@ -892,3 +916,46 @@ def test_union_graph_gamma3_ranks_n6(ctx6):
         equiv._add_gamma3(funcs, profiles, orthos)
     assert labels.call_count == 1
     assert [p.gamma3_rank for p in profiles] == [None] + [f3_oracle.translate_rank(F) for F in funcs[1:]]
+
+
+def _check_field_axioms(ctx, xs, e):
+    """The field laws at the points xs (at least three) of ctx and the exponent
+    e >= 0: scalar operations, the vector helpers against them, and the trace
+    masks' identity Tr(x w) = parity(x & T[w])."""
+    mul, x, y, z = ctx.mul, *xs[:3]
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, y) == mul(y, x)
+    assert mul(x, y ^ z) == mul(x, y) ^ mul(x, z)
+    assert mul(x, 1) == x and mul(x, 0) == 0
+    assert ctx.pow(x ^ y, 2) == mul(x ^ y, x ^ y) == mul(x, x) ^ mul(y, y)
+    assert ctx.trace(x ^ y) == ctx.trace(x) ^ ctx.trace(y) and ctx.trace(1) == ctx.n % 2
+    T = ctx.trace_masks()
+    for v in xs:
+        power, base, k = 1, v, e  # v^e by square-and-multiply
+        while k:
+            power, base, k = mul(power, base) if k & 1 else power, mul(base, base), k >> 1
+        assert ctx.pow(v, e) == power
+        assert ctx.pow(v, ctx.order) == v
+        if v:
+            assert mul(v, ctx.inv(v)) == 1 and ctx.pow(v, -1) == ctx.inv(v)
+            assert mul(ctx.pow(v, e), ctx.pow(v, -e)) == 1
+        for w in xs:
+            assert ctx.trace(mul(v, w)) == (v & int(T[w])).bit_count() % 2
+    arr = np.array(xs, dtype=np.int64)
+    assert ctx.mulv(arr, arr[::-1]).tolist() == [mul(a, b) for a, b in zip(xs, xs[::-1])]
+    assert ctx.mulcv(x, arr).tolist() == [mul(x, b) for b in xs]
+    assert ctx.invv(arr[arr != 0]).tolist() == [ctx.inv(v) for v in xs if v]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_field_axioms(n, data):
+    xs = data.draw(elements(n, 6))
+    _check_field_axioms(mk_field(n), xs, data.draw(st.integers(0, 1 << (n + 1))))
+
+
+def test_field_axioms_n20():
+    ctx = mk_field(20)
+    xs = [0x5A5A5, ctx.alpha, 0xFFFFF, 0, 1, 0x80000, 0x12345, ctx.mult_order - 1]
+    _check_field_axioms(ctx, xs, 0x1F0F0F)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,19 @@ def test_bent_components_examples(ctx4):
     assert spectral.bent_components(lin) == 0
     with pytest.raises(OddDimension):
         spectral.bent_components(power_map(mk_field(5), 3))
+
+
+def test_bent_components_n16_in_bounded_memory():
+    # all 2^16 lambda-forms of the Gram table in one pass: (2/3)(2^16 - 1) bent components
+    F = power_map(mk_field(16), 3)
+    tracemalloc.start()
+    try:
+        bent = spectral.bent_components(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bent == 43690
+    assert peak < 64 << 20
 
 
 def test_bent_fast_path_matches_wht():
