@@ -11,10 +11,11 @@ Every negative :class:`ApnVerdict` carries a materialized witness
 against the lookup table before it is returned.  Search verdicts carry no
 witness: the batched scans (:func:`form1_rank_scan` and the filter scans)
 take B coefficient rows and return, per row, only the index of the first
-representative that refutes it.  All three are one walk (:func:`_first_bad`)
-that evaluates L1(v p) + L2(v^3 q) at the representatives v, with no value
-tables: the rank test at the basis points (p, q) = (u2, u8), the nonzero
-filter at (1, 1) and the beta filter at (beta, 0).
+representative that refutes it.  Every Form1 route is one walk
+(:func:`_first_bad`) of L1(v p) + L2(v^3 q) at the representatives v: the
+rank test at the basis points (p, q) = (u2, u8), Lemma 1 and the t-condition
+at (y, y^4+y^2+y) for every nonzero trace-zero y, and the nonzero and beta
+filters as Lemma 1 at y = 1 and y = beta.
 """
 
 import math
@@ -141,14 +142,6 @@ def _coset_reps(ctx):
 
 
 @cache
-def _trace_zero_points(ctx):
-    """The nonzero trace-zero y and the logs of y and of y^4+y^2+y (cached: read only)."""
-    ys = ctx.trace_zero_nonzero()
-    ws = ctx.pow_table(4)[ys] ^ ctx.pow_table(2)[ys] ^ ys
-    return ys, ctx.log_table[ys], ctx.log_table[ws]
-
-
-@cache
 def _x2_plus_x_roots(ctx):
     """R[y] = a root of x^2 + x = y, or -1; roots x and x + 1 give the same witness."""
     roots = np.full(ctx.order, -1, dtype=np.int64)
@@ -159,17 +152,19 @@ def _x2_plus_x_roots(ctx):
 def _form1_cols(ctx, m1, m2, vs, p, q):
     """cols[s, i, j] = L1(v_i p_j) + L2(v_i^3 q_j) for each row pair.  At
     (p, q) = (u2, u8) these are the linearized derivative at a with a^3 = v_i,
-    on the basis, rescaled by a; at (1, 1) and (beta, 0) they are the values
-    the nonzero and beta filters test.
+    on the basis, rescaled by a; at (y, y^4+y^2+y) they are Lemma 1's values.
+    p and q come as their ctx.log_table entries (that of 0 makes products 0),
+    so a block gathers no logs of its points.
 
     m1 holds the linmap.image_tables of the L1 rows or, as a bool array,
     their 0/1 coefficients, which linmap.apply_binary applies without
     tables.  m2 holds the image tables of the L2 rows, or of one row shared
     by every row of m1."""
     vs = np.asarray(vs)[:, None]
-    p1 = ctx.mulv(vs, p)
+    exp, log = ctx.antilog_table, ctx.log_table
+    p1 = exp[log[vs] + p]
     cols1 = linmap.apply_binary(ctx, m1, p1) if isinstance(m1, np.ndarray) else linmap.apply_tables(m1, p1)
-    return cols1 ^ linmap.apply_tables(m2, ctx.mulv(ctx.pow_table(3)[vs], q))
+    return cols1 ^ linmap.apply_tables(m2, exp[log[ctx.pow_table(3)[vs]] + q])
 
 
 def _rows(m, keep):
@@ -186,13 +181,16 @@ def _rank_test(ctx):
     def bad(cols):
         return (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(cols.shape[:2])
 
-    return ctx.pow_table(2)[e] ^ e, ctx.pow_table(8)[e] ^ e, bad, WALK_PAIRS
+    u2, u8 = (ctx.pow_table(d)[e] ^ e for d in (2, 8))
+    return ctx.log_table[u2], ctx.log_table[u8], bad, WALK_PAIRS
 
 
-def _zero_test(ctx, p, q):
-    """A filter as a walk's (p, q, bad, pairs): bad where the one value L1(v p) + L2(v^3 q)
-    is 0, at most WALK_PAIRS * n^2 pairs a block, as many values as a rank block has bits."""
-    return np.array([p]), np.array([q]), lambda cols: cols[..., 0] == 0, WALK_PAIRS * ctx.n**2
+def _lemma1_test(ctx, ys):
+    """Lemma 1 at the trace-zero points ys as a walk's (p, q, bad, pairs): p = y, q = y^4+y^2+y,
+    bad where some value is 0, at most WALK_PAIRS * n^2 values a block (a rank block's bits)."""
+    log, ys = ctx.log_table, np.asarray(ys, dtype=np.int64)
+    qs = ctx.pow_table(4)[ys] ^ ctx.pow_table(2)[ys] ^ ys
+    return log[ys], log[qs], lambda cols: (cols == 0).any(axis=-1), WALK_PAIRS * ctx.n**2 // len(ys)
 
 
 @cache
@@ -242,21 +240,24 @@ def form1_rank_scan(ctx, c1, c2):
 def _first_bad(ctx, c1, c2, vs, test):
     """Per row pair, the index of the first v in vs at which test is bad, or -1.
 
-    test is (p, q, bad, pairs): bad maps the _form1_cols of a block at (p, q)
-    to a (row, v) bool array.  Rows are taken WALK_PAIRS at a time, and each
-    slice walks vs in doubling blocks over its surviving rows only, at most
-    pairs (row, v) pairs a block.  The value tables of a slice's rows are
-    built once, and a block that refutes rows drops their tables.  A slice
-    whose L1 coefficients are all 0 or 1 needs no tables of L1.  When every
-    L2 row of a slice is the same (the x^9 + L(x^3) shapes have L2(x) = x),
-    it gets one row of tables, whose term of _form1_cols broadcasts over the
-    slice.
+    test is (p, q, bad, pairs), p and q as logs: bad maps the _form1_cols of
+    a block at (p, q) to a (row, v) bool array.  Rows are taken WALK_PAIRS at
+    a time, and each slice walks vs in doubling blocks over its surviving
+    rows only, at most pairs (row, v) pairs a block.  The value tables of a
+    slice's rows are built once, and a block that refutes rows drops their
+    tables.  A slice whose L1 coefficients are all 0 or 1 needs no tables of
+    L1 when the test has at most n points per v: apply_binary makes n
+    squarings a point where the tables make two gathers, so Lemma 1 gets
+    tables.  When every L2 row of a slice is the same (the x^9 + L(x^3)
+    shapes have L2(x) = x), it gets one row of tables, whose term of
+    _form1_cols broadcasts over the slice.
     """
     p, q, bad, pairs = test
     first = np.full(len(c1), -1, dtype=np.int64)
     for lo in range(0, len(c1), WALK_PAIRS):
         s1, s2 = c1[lo : lo + WALK_PAIRS], c2[lo : lo + WALK_PAIRS]
-        m1 = s1.astype(bool) if s1.max(initial=0) <= 1 else linmap.image_tables(linmap.basis_images(ctx, s1))
+        binary = len(p) <= ctx.n and s1.max(initial=0) <= 1
+        m1 = s1.astype(bool) if binary else linmap.image_tables(linmap.basis_images(ctx, s1))
         shared = (s2 == s2[0]).all()
         m2 = linmap.image_tables(linmap.basis_images(ctx, s2[:1] if shared else s2))
         alive = np.arange(len(s1))
@@ -323,16 +324,19 @@ def batch_is_apn_quadratic(luts):
     return _quadratic_first_bad(np.asarray(luts)) == 0
 
 
+def _cols_at(form: Form1, i, test):
+    """The _form1_cols of one form at the i-th cube-coset representative and the test's points."""
+    m1, m2 = (linmap.image_tables(linmap.basis_images(form.ctx, [L.coeffs])) for L in (form.L1, form.L2))
+    return _form1_cols(form.ctx, m1, m2, _coset_reps(form.ctx)[1][i : i + 1], *test[:2])[0, 0]
+
+
 def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
     ctx = form.ctx
-    c1, c2 = [form.L1.coeffs], [form.L2.coeffs]
-    first = int(form1_rank_scan(ctx, c1, c2)[0])
+    first = int(form1_rank_scan(ctx, [form.L1.coeffs], [form.L2.coeffs])[0])
     if first < 0:
         return ApnVerdict(True, None, "quadratic")
-    a_all, v_all = _coset_reps(ctx)
-    m1, m2 = (linmap.image_tables(linmap.basis_images(ctx, c)) for c in (c1, c2))
-    z = _kernel_extra(_form1_cols(ctx, m1, m2, v_all[first : first + 1], *_rank_test(ctx)[:2])[0, 0], 1)
-    a = int(a_all[first])
+    a = int(_coset_reps(ctx)[0][first])
+    z = _kernel_extra(_cols_at(form, first, _rank_test(ctx)), 1)
     return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
 
 
@@ -348,22 +352,16 @@ def _lemma1_witness(form: Form1, a, y):
 
 def _lemma1_pair(form: Form1):
     """The first (a, y), a a cube-coset representative and y a nonzero
-    trace-zero point, with L1(a^3 y) + L2(a^9 (y^4+y^2+y)) = 0, or None."""
+    trace-zero point, with L1(a^3 y) + L2(a^9 (y^4+y^2+y)) = 0, or None.  On
+    0/1 rows the value at (v^2, y^2) is the square of the one at (v, y), and
+    y -> y^2 permutes the y, so such rows walk only the Frobenius leaders."""
     ctx = form.ctx
-    l1 = form.L1.lut()
-    l2 = form.L2.lut()
-    ys, log_ys, log_ws = _trace_zero_points(ctx)
-    exp, log = ctx.antilog_table, ctx.log_table
-    p3 = ctx.pow_table(3)
-    a_all, v_all = _coset_reps(ctx)
-    for i in range(len(v_all)):
-        v = int(v_all[i])
-        # v * y as antilog[log v + log y]: mulcv without its gather of log y
-        vals = l1[exp[int(log[v]) + log_ys]] ^ l2[exp[int(log[p3[v]]) + log_ws]]
-        z = np.nonzero(vals == 0)[0]
-        if z.size:
-            return int(a_all[i]), int(ys[int(z[0])])
-    return None
+    ys = ctx.trace_zero_nonzero()
+    test = _lemma1_test(ctx, ys)
+    i = int(_frobenius_walk(ctx, [form.L1.coeffs], [form.L2.coeffs], test)[0])
+    if i < 0:
+        return None
+    return int(_coset_reps(ctx)[0][i]), int(ys[np.argmax(_cols_at(form, i, test) == 0)])
 
 
 def is_apn_lemma1(form: Form1) -> ApnVerdict:
@@ -413,15 +411,16 @@ def parity_mask(c1, c2):
 
 def nonzero_scan(ctx, c1, c2):
     """Per row pair, the first cube-coset index j with F'(a_j) = L1(v_j) + L2(v_j^3) = 0,
-    or -1.  For 0/1 rows L1(v^2) + L2(v^6) = (L1(v) + L2(v^3))^2, so the zero
-    set is closed under v -> v^2 and such rows walk the Frobenius leaders."""
-    return _frobenius_walk(ctx, c1, c2, _zero_test(ctx, 1, 1))
+    or -1: Lemma 1 at the one point y = 1, where y^4+y^2+y = 1.  For 0/1 rows
+    L1(v^2) + L2(v^6) = (L1(v) + L2(v^3))^2, so the zero set is closed under
+    v -> v^2 and such rows walk the Frobenius leaders."""
+    return _frobenius_walk(ctx, c1, c2, _lemma1_test(ctx, [1]))
 
 
 def beta_scan(ctx, c1):
-    """Per row of L1 coefficients, the first i with L1(beta v_i) = 0, or -1,
-    for v_i the cube-coset representatives and beta the first subfield-8
-    trace-zero element.
+    """Per row of L1 coefficients, the first i with L1(beta v_i) = 0, or -1, for v_i the
+    cube-coset representatives and beta the first subfield-8 trace-zero element: Lemma 1
+    at the one point y = beta, where y^4+y^2+y = 0.
 
     The filter's definition walks all three such beta_t, t-major, for the
     first t * k + i.  It needs n even and 3 | n, so 21 | 2^n - 1 and every
@@ -431,7 +430,7 @@ def beta_scan(ctx, c1):
     """
     _, v_all = _coset_reps(ctx)
     c1 = np.asarray(c1, dtype=np.int64)
-    return _first_bad(ctx, c1, np.zeros_like(c1), v_all, _zero_test(ctx, _subfield8_trace_zero(ctx)[0], 0))
+    return _first_bad(ctx, c1, np.zeros_like(c1), v_all, _lemma1_test(ctx, _subfield8_trace_zero(ctx)[:1]))
 
 
 def quick_reject_parity(form: Form1):

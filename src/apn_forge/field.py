@@ -233,12 +233,13 @@ class FieldCtx:
         """T[w] = bit mask with bit t = Tr(e_t * w).
 
         Converts trace conditions into plain bit equations: Tr(x*w) equals
-        parity(bits(x) & T[w]) for all x, w.
+        parity(bits(x) & T[w]) for all x, w.  w -> T[w] is F2-linear, so T
+        is doubled out of the n masks T[e_j].
         """
         if self._trace_masks is None:
-            masks = np.zeros(self.order, dtype=np.int64)
-            for t in range(self.n):
-                masks |= self._trace_bits[self.mulcv(1 << t, self.elements())].astype(np.int64) << t
+            n = self.n
+            basis = [sum(self.trace(self.mul(1 << t, 1 << j)) << t for t in range(n)) for j in range(n)]
+            masks = f2.expand_linear(np.array(basis, dtype=np.int64))
             masks.setflags(write=False)
             self._trace_masks = masks
         return self._trace_masks

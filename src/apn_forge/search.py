@@ -76,6 +76,9 @@ class SearchJob:
             raise InvalidJob(f"unknown shape {self.shape!r}")
         if self.record not in ("hits", "all"):
             raise InvalidJob(f"record must be 'hits' or 'all', got {self.record!r}")
+        for flag in ("use_parity", "use_nonzero", "use_beta"):
+            if not isinstance(getattr(self, flag), bool):
+                raise InvalidJob(f"{flag} must be true or false, got {getattr(self, flag)!r}")
         if self.sample_count is not None and not _int_at_least(self.sample_count, 1):
             raise InvalidJob(f"sample_count must be at least 1, got {self.sample_count!r}")
         if self.shape == "form1_random" and self.sample_count is None:

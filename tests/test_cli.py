@@ -207,6 +207,13 @@ def test_search_job_file_unknown_shape(tmp_path, capsys):
     assert_usage_error(capsys, "search", "--job", str(job_path), match="shape")
 
 
+def test_search_job_file_string_flags(tmp_path, capsys):
+    job_path = tmp_path / "job.json"
+    flags = {"use_parity": "false", "use_nonzero": "false", "use_beta": "false"}
+    job_path.write_text(json.dumps({"field": "n=6", "shape": "x9_plus_L_binary", **flags}))
+    assert_usage_error(capsys, "search", "--job", str(job_path), match="use_parity")
+
+
 def test_field_spec_bad_value(capsys):
     assert_usage_error(capsys, "test", "-f", "n=abc", "-u", "x^3", match="n=abc")
 

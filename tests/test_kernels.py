@@ -539,6 +539,36 @@ def test_filter_rejections_are_lemma1_zeros(batch):
             assert not apn.is_apn_lemma1(form).is_apn
 
 
+def _lemma1_forms(n):
+    """Binary pairs, x^9 + L(x^3) rows (L binary and not), non-binary pairs
+    and L2 = 0 (x^3 among them), from a fixed seed."""
+    ctx = mk_field(n)
+    rng = np.random.default_rng(n)
+    rand, bits = (lambda: rng.integers(0, ctx.order, size=n)), (lambda: rng.integers(0, 2, size=n))
+    x, zero = [1] + [0] * (n - 1), [0] * n
+    pairs = [(bits(), bits()) for _ in range(3)] + [(bits(), x), (x, zero)]
+    pairs += [(rand(), rand()) for _ in range(4)] + [(rand(), x) for _ in range(3)] + [(rand(), zero) for _ in range(2)]
+    return [Form1(LinearizedPoly(ctx, c1), LinearizedPoly(ctx, c2)) for c1, c2 in pairs]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_lemma1_pair_is_the_first_zero_of_its_definition(n):
+    # a in _coset_reps order, then y ascending over the nonzero trace-zero points
+    ctx = mk_field(n)
+    a_all, _ = apn._coset_reps(ctx)
+    ys = ctx.trace_zero_nonzero().tolist()
+    for form in _lemma1_forms(n):
+        zeros = ((int(a), y) for a in a_all for y in ys if _lemma1_value(form, int(a), y) == 0)
+        assert apn._lemma1_pair(form) == next(zeros, None)
+
+
+def test_lemma1_pair_of_x9_plus_tr_x3_at_n16():
+    ctx = mk_field(16)
+    form = Form1(linmap.trace_map(ctx), linmap.identity(ctx))
+    assert apn._lemma1_pair(form) == (512, 14947)
+    assert _lemma1_value(form, 512, 14947) == 0
+
+
 @PROPERTY
 @given(st.data())
 def test_lut_compose_and_apply_images_match_eval(data):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from apn_forge import apn, equiv, linmap, search, spectral
-from apn_forge.errors import JobTooLarge
+from apn_forge.errors import InvalidJob, JobTooLarge
 from apn_forge.field import mk_field
 from apn_forge.linmap import LinearizedPoly
 from apn_forge.search import SearchJob
@@ -45,6 +45,15 @@ def test_job_roundtrip_and_validation():
         SearchJob(field="n=5", shape="form1_random")
     with pytest.raises(JobTooLarge):
         SearchJob(field="n=6", shape="x9_plus_L_full").total_candidates()
+
+
+@pytest.mark.parametrize("flag", ["use_parity", "use_nonzero", "use_beta"])
+@pytest.mark.parametrize("value", ["false", [1], 0, None])
+def test_job_filter_flags_must_be_bools(flag, value):
+    # a job file's "false" is a truthy string that would run the filter
+    text = json.dumps({"field": "n=6", "shape": "x9_plus_L_binary", flag: value})
+    with pytest.raises(InvalidJob, match=flag):
+        SearchJob.from_json(text)
 
 
 def test_binary_scan_n5_classes(monkeypatch):
