@@ -8,14 +8,16 @@ representative per cube coset, a third of the space.
 
 Every negative :class:`ApnVerdict` carries a materialized witness
 (a, b, xs) with at least four solutions to F(x+a)+F(x)=b, re-verified
-against the lookup table before it is returned.  Search verdicts carry no
-witness: the batched scans (:func:`form1_rank_scan` and the filter scans)
-take B coefficient rows and return, per row, only the index of the first
-representative that refutes it.  Every Form1 route is one walk
-(:func:`_first_bad`) of L1(v p) + L2(v^3 q) at the representatives v: the
-rank test at the basis points (p, q) = (u2, u8), Lemma 1 and the t-condition
-at (y, y^4+y^2+y) for every nonzero trace-zero y, and the nonzero and beta
-filters as Lemma 1 at y = 1 and y = beta.
+against the function before it is returned: a Form1 is read one point at a
+time, with no lookup table.  Search verdicts carry no witness: the batched
+scans (:func:`form1_rank_scan` and the filter scans) take B coefficient rows
+and return, per row, only the index of the first representative that
+refutes it.  Every Form1 route is one walk (:func:`_first_bad`) of
+L1(v p) + L2(v^3 q) at the representatives v: the rank test at the n - 1
+live basis points (p, q) = (u2, u8), Lemma 1 and the t-condition at
+(y, y^4+y^2+y) for every nonzero trace-zero y, and the nonzero and beta
+filters as Lemma 1 at y = 1 and y = beta.  Rows whose L1 coefficients are
+all 0 or 1 go through the walk as packed masks (linmap.apply_binary).
 """
 
 import math
@@ -43,9 +45,9 @@ _CHUNK = 4096
 
 # Rows per walk slice, and (row, index) pairs per block of the rank walk.  CPU s per
 # round of the binary x^9 + L(x^3) scan at n = 13 (8192 candidates, best of 5
-# rounds in each of 2 passes, 2 runs, 2-core x86-64): 256: 0.08-0.11, 512:
-# 0.04-0.07, 1024: 0.034-0.037, 2048: 0.030-0.035, 4096: 0.038-0.047 with 2 MB
-# more peak RSS, 8192: 0.05-0.07 with 7 MB more.
+# rounds in each of 2 passes, 2 runs, 2-core x86-64): 256: 0.033-0.038, 512:
+# 0.020-0.022, 1024: 0.014-0.016, 2048: 0.010-0.012, 4096: 0.009 with 1.8 MB
+# more peak RSS (5% of the scan's), 8192: 0.009-0.010 with 4.6 MB more.
 WALK_PAIRS = 2048
 
 
@@ -55,7 +57,7 @@ class Witness:
     b: int
     xs: tuple
 
-    def verifies(self, F: VBF):
+    def verifies(self, F):
         if len(self.xs) < 4 or len(set(self.xs)) != len(self.xs):
             return False
         return all(F(x ^ self.a) ^ F(x) == self.b for x in self.xs)
@@ -91,14 +93,15 @@ class Ddt:
         self.table = np.concatenate([row0] + [C for _, C in ddt_row_blocks(F)])
 
 
-def _checked(F: VBF, w: Witness):
+def _checked(F, w: Witness):
     if not w.verifies(F):
         raise InternalCheckFailed(f"witness at a={w.a}, b={w.b} failed re-verification")
     return w
 
 
-def _mk_witness(F: VBF, a, extra_x):
-    """Witness from one extra kernel element of the derivative at a."""
+def _mk_witness(F, a, extra_x):
+    """Witness from one extra kernel element of the derivative at a; F is a
+    VBF or a Form1, read one point at a time."""
     b = F(a) ^ F(0)
     xs = tuple(sorted({0, a, extra_x, extra_x ^ a}))
     return _checked(F, Witness(a=a, b=b, xs=xs))
@@ -152,14 +155,14 @@ def _x2_plus_x_roots(ctx):
 def _form1_cols(ctx, m1, m2, vs, p, q):
     """cols[s, i, j] = L1(v_i p_j) + L2(v_i^3 q_j) for each row pair.  At
     (p, q) = (u2, u8) these are the linearized derivative at a with a^3 = v_i,
-    on the basis, rescaled by a; at (y, y^4+y^2+y) they are Lemma 1's values.
-    p and q come as their ctx.log_table entries (that of 0 makes products 0),
-    so a block gathers no logs of its points.
+    on the basis e_1 .. e_(n-1), rescaled by a; at (y, y^4+y^2+y) they are
+    Lemma 1's values.  p and q come as their ctx.log_table entries (that of 0
+    makes products 0), so a block gathers no logs of its points.
 
-    m1 holds the linmap.image_tables of the L1 rows or, as a bool array,
-    their 0/1 coefficients, which linmap.apply_binary applies without
-    tables.  m2 holds the image tables of the L2 rows, or of one row shared
-    by every row of m1."""
+    m1 holds the linmap.image_tables of the L1 rows or, as a 1-D int array,
+    their 0/1 coefficients packed as masks, which linmap.apply_binary reads
+    from tables over the fewer of the block's rows and points.  m2 holds the
+    image tables of the L2 rows, or of one row shared by every row of m1."""
     vs = np.asarray(vs)[:, None]
     exp, log = ctx.antilog_table, ctx.log_table
     p1 = exp[log[vs] + p]
@@ -168,18 +171,23 @@ def _form1_cols(ctx, m1, m2, vs, p, q):
 
 
 def _rows(m, keep):
-    """The rows keep of m: a bool coefficient array or a pair of image tables."""
+    """The rows keep of m: an array of coefficient masks or a pair of image tables."""
     return m[keep] if isinstance(m, np.ndarray) else (m[0][keep], m[1][keep])
 
 
 def _rank_test(ctx):
     """The rank test as a walk's (p, q, bad, pairs): the columns at
-    u2[j] = e_j^2+e_j and u8[j] = e_j^8+e_j on the polynomial basis, bad where
-    their rank is not n - 1, at most WALK_PAIRS pairs a block."""
-    n, e = ctx.n, 1 << np.arange(ctx.n, dtype=np.int64)
+    u2[j] = e_j^2+e_j and u8[j] = e_j^8+e_j for the n - 1 live basis points
+    e_1 .. e_(n-1) (u2 and u8 vanish at e_0 = 1, so that column is always 0),
+    bad where their rank is not n - 1, at most WALK_PAIRS pairs a block.  The
+    pivots of f2._pivots have strictly falling leading bits, so n - 1 columns
+    have full rank exactly when the last of their n - 1 pivots is nonzero."""
+    n, e = ctx.n, 1 << np.arange(1, ctx.n, dtype=np.int64)
 
     def bad(cols):
-        return (f2.batch_rank(cols.reshape(-1, n), n) != n - 1).reshape(cols.shape[:2])
+        for last in f2._pivots(cols.reshape(-1, n - 1), n):
+            pass
+        return (last == 0).reshape(cols.shape[:2])
 
     u2, u8 = (ctx.pow_table(d)[e] ^ e for d in (2, 8))
     return ctx.log_table[u2], ctx.log_table[u8], bad, WALK_PAIRS
@@ -191,6 +199,15 @@ def _lemma1_test(ctx, ys):
     log, ys = ctx.log_table, np.asarray(ys, dtype=np.int64)
     qs = ctx.pow_table(4)[ys] ^ ctx.pow_table(2)[ys] ^ ys
     return log[ys], log[qs], lambda cols: (cols == 0).any(axis=-1), WALK_PAIRS * ctx.n**2 // len(ys)
+
+
+@cache
+def _lemma1_all_y(ctx):
+    """(ys, test): the nonzero trace-zero points, ascending, and Lemma 1's
+    _lemma1_test at all of them (cached: read only)."""
+    ys = ctx.trace_zero_nonzero()
+    ys.setflags(write=False)
+    return ys, _lemma1_test(ctx, ys)
 
 
 @cache
@@ -245,19 +262,20 @@ def _first_bad(ctx, c1, c2, vs, test):
     a time, and each slice walks vs in doubling blocks over its surviving
     rows only, at most pairs (row, v) pairs a block.  The value tables of a
     slice's rows are built once, and a block that refutes rows drops their
-    tables.  A slice whose L1 coefficients are all 0 or 1 needs no tables of
-    L1 when the test has at most n points per v: apply_binary makes n
-    squarings a point where the tables make two gathers, so Lemma 1 gets
-    tables.  When every L2 row of a slice is the same (the x^9 + L(x^3)
-    shapes have L2(x) = x), it gets one row of tables, whose term of
-    _form1_cols broadcasts over the slice.
+    tables.  A slice whose L1 coefficients are all 0 or 1 is carried as
+    packed masks instead: apply_binary builds each block's tables over
+    whichever of its rows and points are fewer.  When every L2 row of a
+    slice is the same (the x^9 + L(x^3) shapes have L2(x) = x), it gets one
+    row of tables, whose term of _form1_cols broadcasts over the slice.
     """
     p, q, bad, pairs = test
     first = np.full(len(c1), -1, dtype=np.int64)
     for lo in range(0, len(c1), WALK_PAIRS):
         s1, s2 = c1[lo : lo + WALK_PAIRS], c2[lo : lo + WALK_PAIRS]
-        binary = len(p) <= ctx.n and s1.max(initial=0) <= 1
-        m1 = s1.astype(bool) if binary else linmap.image_tables(linmap.basis_images(ctx, s1))
+        if s1.max(initial=0) <= 1:
+            m1 = (s1 << np.arange(ctx.n)).sum(axis=1)
+        else:
+            m1 = linmap.image_tables(linmap.basis_images(ctx, s1))
         shared = (s2 == s2[0]).all()
         m2 = linmap.image_tables(linmap.basis_images(ctx, s2[:1] if shared else s2))
         alive = np.arange(len(s1))
@@ -276,9 +294,9 @@ def _first_bad(ctx, c1, c2, vs, test):
     return first
 
 
-def _kernel_extra(cols, known):
-    """Least kernel element, other than 0 and known, of the map with packed columns cols."""
-    rows = f2.transpose(cols, len(cols))
+def _kernel_extra(cols, n, known):
+    """Least kernel element, other than 0 and known, of the map with packed n-bit columns cols."""
+    rows = f2.transpose(cols, n)
     return next(x for x in f2.span(f2.nullspace(rows, len(cols))) if x not in (0, known))
 
 
@@ -295,7 +313,7 @@ def is_apn_quadratic(F) -> ApnVerdict:
     a = int(_quadratic_first_bad(F.lut[None])[0])
     if a:
         cols = bilinear_table(F.lut, [a])[0]
-        return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(cols, a)), "quadratic")
+        return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(cols, F.ctx.n, a)), "quadratic")
     return ApnVerdict(True, None, "quadratic")
 
 
@@ -336,8 +354,10 @@ def _apn_quadratic_form1(form: Form1) -> ApnVerdict:
     if first < 0:
         return ApnVerdict(True, None, "quadratic")
     a = int(_coset_reps(ctx)[0][first])
-    z = _kernel_extra(_cols_at(form, first, _rank_test(ctx)), 1)
-    return ApnVerdict(False, _mk_witness(form.realize(), a, ctx.mul(a, z)), "quadratic")
+    # Column 0 is zero, so the kernel holds x + 1 with every x and its least element other than
+    # 0 and 1 is even: the least nonzero kernel element over the live columns, shifted back.
+    z = _kernel_extra(_cols_at(form, first, _rank_test(ctx)), ctx.n, 0) << 1
+    return ApnVerdict(False, _mk_witness(form, a, ctx.mul(a, z)), "quadratic")
 
 
 def _lemma1_witness(form: Form1, a, y):
@@ -347,7 +367,7 @@ def _lemma1_witness(form: Form1, a, y):
     x0 = int(_x2_plus_x_roots(ctx)[y])
     if x0 < 0:
         raise InternalCheckFailed(f"trace-zero y={y} is not of the form x^2+x")
-    return _mk_witness(form.realize(), a, ctx.mul(a, x0))
+    return _mk_witness(form, a, ctx.mul(a, x0))
 
 
 def _lemma1_pair(form: Form1):
@@ -356,8 +376,7 @@ def _lemma1_pair(form: Form1):
     0/1 rows the value at (v^2, y^2) is the square of the one at (v, y), and
     y -> y^2 permutes the y, so such rows walk only the Frobenius leaders."""
     ctx = form.ctx
-    ys = ctx.trace_zero_nonzero()
-    test = _lemma1_test(ctx, ys)
+    ys, test = _lemma1_all_y(ctx)
     i = int(_frobenius_walk(ctx, [form.L1.coeffs], [form.L2.coeffs], test)[0])
     if i < 0:
         return None

@@ -152,17 +152,39 @@ def apply_tables(tables, points):
     return np.take(low, points & ((1 << h) - 1), axis=1) ^ np.take(high, points >> h, axis=1)
 
 
-def apply_binary(ctx, coeffs, points):
-    """out[s, ...] = L_s(points) = XOR_k c_sk points^(2^k) for 0/1 coefficient
-    rows: no basis images and no field products, only n squarings of the
-    points.  Same dtype as apply_tables."""
-    points = np.asarray(points)
-    dt = np.min_scalar_type(ctx.order - 1)
-    c = np.asarray(coeffs).astype(dt).reshape((len(coeffs),) + (1,) * points.ndim + (ctx.n,))
-    out = np.zeros(c.shape[:1] + points.shape, dtype=dt)
-    for k in range(ctx.n):
-        out ^= c[..., k] * points.astype(dt)
-        points = ctx.pow_table(2)[points]
+def apply_binary(ctx, masks, points):
+    """out[s, ...] = L_s(points) = XOR over the set bits k of masks[s] of
+    points^(2^k): 0/1 coefficient rows packed as int masks, bit k = c_k.
+
+    L_mask(x) is bilinear in (mask, x), so the two half tables of
+    image_tables are built over whichever side has fewer values and read
+    with two gathers per (mask, point) pair.  With fewer masks than points
+    they are each mask's tables over the low and high bits of a point.
+    Otherwise they are each point's tables over the low h = ceil(n/2) and
+    the high bits of a mask, doubled out of its n Frobenius images and
+    stored as (2^h, points), so a mask's half reads one row.  Same dtype as
+    apply_tables.
+    """
+    masks, points = np.asarray(masks), np.asarray(points)
+    n = ctx.n
+    if len(masks) < points.size:
+        bits = (masks[:, None] >> np.arange(n)) & 1
+        return apply_tables(image_tables(basis_images(ctx, bits)), points)
+    h, square = (n + 1) // 2, ctx.pow_table(2)
+    frob = np.empty((n, points.size), dtype=np.min_scalar_type(ctx.order - 1))
+    frob[0] = points.ravel()
+    for k in range(1, n):
+        frob[k] = square[frob[k - 1]]
+    low, high = _doubled_rows(frob[:h]), _doubled_rows(frob[h:])
+    out = np.take(low, masks & ((1 << h) - 1), axis=0) ^ np.take(high, masks >> h, axis=0)
+    return out.reshape(masks.shape + points.shape)
+
+
+def _doubled_rows(images):
+    """Row m = XOR of images[k] over the set bits k of m: f2.expand_linear along the first axis."""
+    out = np.zeros((1 << len(images),) + images.shape[1:], dtype=images.dtype)
+    for k, row in enumerate(images):
+        out[1 << k : 2 << k] = out[: 1 << k] ^ row
     return out
 
 

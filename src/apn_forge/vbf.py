@@ -206,6 +206,11 @@ class Form1:
         self.L2 = L2
         self.ctx = L1.ctx
 
+    def __call__(self, x):
+        """F(x) at one point, without the lookup table of realize."""
+        ctx = self.ctx
+        return self.L1.eval(ctx.pow(x, 3)) ^ self.L2.eval(ctx.pow(x, 9))
+
     def realize(self):
         ctx = self.ctx
         cube = ctx.pow_table(3)

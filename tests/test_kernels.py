@@ -345,18 +345,47 @@ def _eval_at_basis(ctx, rows):
     return [[LinearizedPoly(ctx, r).eval(1 << j) for j in range(ctx.n)] for r in rows]
 
 
+def _binary_masks_and_points(data, side):
+    """(ctx, masks, points) at n = 2..20: masks with the zero map and the trace
+    among them, and a (rows, cols) block of points with fewer values than
+    masks, as many, or more."""
+    n = data.draw(st.integers(2, 20))
+    ctx = mk_field(n)
+    masks = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=5)) + [0, ctx.order - 1]
+    if side == "fewer rows":
+        size = len(masks) + data.draw(st.integers(1, 6))
+    elif side == "equal":
+        size = len(masks)
+    else:
+        size = data.draw(st.integers(1, len(masks) - 1))
+    cols = data.draw(st.sampled_from([c for c in range(1, size + 1) if size % c == 0]))
+    xs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=size, max_size=size))
+    return ctx, np.array(masks), np.array(xs).reshape(size // cols, cols)
+
+
 @PROPERTY
 @given(st.data())
 def test_basis_images_and_apply_binary_of_binary_rows_match_eval(data):
-    n = data.draw(st.integers(2, 20))
-    ctx = mk_field(n)
-    rows = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=4))
-    rows += [[0] * n, [1] * n]  # the zero map and the trace
-    assert linmap.basis_images(ctx, rows).tolist() == _eval_at_basis(ctx, rows)
-    xs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=8))
-    out = linmap.apply_binary(ctx, np.array(rows), np.array(xs))
-    assert out.tolist() == [[LinearizedPoly(ctx, r).eval(x) for x in xs] for r in rows]
-    assert linmap.basis_images(ctx, np.zeros((0, n), dtype=np.int64)).shape == (0, n)
+    for side in ("fewer rows", "equal", "more rows"):
+        ctx, masks, points = _binary_masks_and_points(data, side)
+        rows = [[(m >> k) & 1 for k in range(ctx.n)] for m in masks.tolist()]
+        assert linmap.basis_images(ctx, rows).tolist() == _eval_at_basis(ctx, rows)
+        out = linmap.apply_binary(ctx, masks, points)
+        assert out.dtype == np.min_scalar_type(ctx.order - 1)
+        want = [[[LinearizedPoly(ctx, r).eval(x) for x in line] for line in points.tolist()] for r in rows]
+        assert out.tolist() == want
+    assert linmap.basis_images(ctx, np.zeros((0, ctx.n), dtype=np.int64)).shape == (0, ctx.n)
+
+
+@pytest.mark.parametrize("rows, points", [(1, 2), (3, 4), (4, 4), (5, 4), (64, 1)])
+def test_apply_binary_builds_tables_over_the_smaller_side(rows, points):
+    # per-mask tables (image_tables) only when there are fewer masks than points
+    ctx = mk_field(9)
+    masks, xs = np.arange(rows) * 7 % ctx.order, np.arange(points) * 5 + 1
+    with mock.patch.object(linmap, "image_tables", wraps=linmap.image_tables) as spy:
+        out = linmap.apply_binary(ctx, masks, xs)
+    assert spy.called == (rows < points)
+    assert out.tolist() == [[linmap.from_mask(ctx, int(m)).eval(int(x)) for x in xs] for m in masks]
 
 
 @PROPERTY
@@ -383,6 +412,31 @@ def x9_batches(draw):
 @given(x9_batches())
 @example(_batch_of(_X9_TR3[1], _X9_TR3[1]))
 def test_form1_rank_scan_with_a_shared_l2_matches_full_walk(batch):
+    ctx, c1, c2 = batch
+    assert apn.form1_rank_scan(ctx, c1, c2).tolist() == [_reference_first_bad(f) for f in _forms(ctx, c1, c2)]
+
+
+@st.composite
+def mixed_form1_batches(draw):
+    """Rows at n = 3..12, each binary, over the whole field, or x^9 + L(x^3)
+    (L2(x) = x) with L binary or not, in one batch."""
+    n = draw(st.integers(3, 12))
+    ctx = mk_field(n)
+    x = [1] + [0] * (n - 1)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["binary", "field", "x9 binary", "x9 field"]), min_size=1, max_size=6)):
+        top = 1 if "binary" in kind else ctx.order - 1
+        c1, c2 = (draw(elements(n, n).map(lambda r: [c & top for c in r])) for _ in range(2))
+        rows.append((c1, x if "x9" in kind else c2))
+    return ctx, np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+@PROPERTY
+@given(mixed_form1_batches())
+@example(_batch_of(_gold(3), Form1(linmap.zero(mk_field(3)), linmap.zero(mk_field(3)))))
+@example(_batch_of(_X9_TR3[2], _gold(8), Form1(LinearizedPoly(mk_field(8), [3] * 8), linmap.identity(mk_field(8)))))
+def test_form1_rank_scan_on_n_minus_1_columns_matches_the_n_column_walk(batch):
+    # the walk ranks the n - 1 live columns; the reference ranks all n of the realized derivative
     ctx, c1, c2 = batch
     assert apn.form1_rank_scan(ctx, c1, c2).tolist() == [_reference_first_bad(f) for f in _forms(ctx, c1, c2)]
 
@@ -439,6 +493,20 @@ def test_tcondition_matches_lemma1_verdict_and_witness(form):
     # trace-zero solution of the t-step, so the two routes stop at the same pair
     t, l1 = apn.is_apn_tcondition(form), apn.is_apn_lemma1(form)
     assert (t.is_apn, t.witness) == (l1.is_apn, l1.witness)
+
+
+@PROPERTY
+@given(form1s_by_l2_rank())
+@example(_X9_TR3[2])
+@example(Form1(linmap.trace_map(mk_field(6)), linmap.identity(mk_field(6))))
+def test_form1_witnesses_come_from_point_evaluation(form):
+    # F(x) at one point matches the realized table, and no Form1 route realizes the form for its witness
+    lut = form.realize().lut
+    assert [form(x) for x in range(form.ctx.order)] == lut.tolist()
+    with mock.patch.object(Form1, "realize", side_effect=AssertionError("realized")):
+        verdicts = [apn.is_apn_quadratic(form), apn.is_apn_lemma1(form), apn.is_apn_tcondition(form)]
+    for v in verdicts:
+        assert v.witness is None or v.witness.verifies(VBF(form.ctx, lut))
 
 
 @pytest.mark.parametrize("n", range(2, 17))

@@ -193,10 +193,12 @@ def test_even_n_filter_pins(tmp_path):
     [
         (14, {"apn": 1, "fail": 7159, "rejected:parity": 8192, "rejected:nonzero": 1032}),
         (16, {"apn": 1, "fail": 31143, "rejected:parity": 32768, "rejected:nonzero": 1624}),
+        (18, {"rejected:parity": 131072, "rejected:nonzero": 98768, "rejected:beta": 32304}),
     ],
 )
 def test_even_n_binary_verdict_split(n, verdicts):
-    # 3 does not divide 14 or 16, so parity and nonzero are the filters that run
+    # 3 does not divide 14 or 16, so parity and nonzero are the filters that run;
+    # at n = 18 the beta filter runs too and the three reject every candidate
     assert search.run(SearchJob(field=f"n={n}", shape="x9_plus_L_binary")).verdicts == verdicts
 
 
