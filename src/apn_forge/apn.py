@@ -16,8 +16,9 @@ refutes it.  Every Form1 route is one walk (:func:`_first_bad`) of
 L1(v p) + L2(v^3 q) at the representatives v: the rank test at the n - 1
 live basis points (p, q) = (u2, u8), Lemma 1 and the t-condition at
 (y, y^4+y^2+y) for every nonzero trace-zero y, and the nonzero and beta
-filters as Lemma 1 at y = 1 and y = beta.  Rows whose L1 coefficients are
-all 0 or 1 go through the walk as packed masks (linmap.apply_binary).
+filters as Lemma 1 at y = 1 and y = beta.  The scans take either 2-D
+coefficient rows or 1-D int masks of 0/1 rows (bit k = c_k); binary rows
+go through the walk as masks (linmap.apply_binary), in one slice.
 """
 
 import math
@@ -43,11 +44,10 @@ from .vbf import DDT_BLOCK, VBF, BooleanFunction, Form1, bilinear_table, ddt_row
 
 _CHUNK = 4096
 
-# Rows per walk slice, and (row, index) pairs per block of the rank walk.  CPU s per
-# round of the binary x^9 + L(x^3) scan at n = 13 (8192 candidates, best of 5
-# rounds in each of 2 passes, 2 runs, 2-core x86-64): 256: 0.033-0.038, 512:
-# 0.020-0.022, 1024: 0.014-0.016, 2048: 0.010-0.012, 4096: 0.009 with 1.8 MB
-# more peak RSS (5% of the scan's), 8192: 0.009-0.010 with 4.6 MB more.
+# Rows per slice of coefficient rows, and (row, index) pairs per block of the
+# rank walk after its first.  A slice of rows carries the value tables of its
+# rows (2 * 2^ceil(n/2) entries each), so the slice bounds that memory; masks
+# carry no tables and walk as one slice.
 WALK_PAIRS = 2048
 
 
@@ -159,15 +159,18 @@ def _form1_cols(ctx, m1, m2, vs, p, q):
     Lemma 1's values.  p and q come as their ctx.log_table entries (that of 0
     makes products 0), so a block gathers no logs of its points.
 
-    m1 holds the linmap.image_tables of the L1 rows or, as a 1-D int array,
-    their 0/1 coefficients packed as masks, which linmap.apply_binary reads
-    from tables over the fewer of the block's rows and points.  m2 holds the
-    image tables of the L2 rows, or of one row shared by every row of m1."""
+    m1 and m2 hold the L1 and the L2 maps either as 1-D int arrays of packed
+    0/1 coefficients, which linmap.apply_binary reads from tables over the
+    fewer of the block's rows and points, or as their linmap.image_tables.
+    m2 may hold one map shared by every row of m1: its term broadcasts."""
     vs = np.asarray(vs)[:, None]
     exp, log = ctx.antilog_table, ctx.log_table
-    p1 = exp[log[vs] + p]
-    cols1 = linmap.apply_binary(ctx, m1, p1) if isinstance(m1, np.ndarray) else linmap.apply_tables(m1, p1)
-    return cols1 ^ linmap.apply_tables(m2, exp[log[ctx.pow_table(3)[vs]] + q])
+    return _apply(ctx, m1, exp[log[vs] + p]) ^ _apply(ctx, m2, exp[log[ctx.pow_table(3)[vs]] + q])
+
+
+def _apply(ctx, m, points):
+    """out[s, ...] = L_s(points) for the maps m of _form1_cols: masks or image tables."""
+    return linmap.apply_binary(ctx, m, points) if isinstance(m, np.ndarray) else linmap.apply_tables(m, points)
 
 
 def _rows(m, keep):
@@ -227,19 +230,28 @@ def _frobenius_leaders(ctx):
 
 def _frobenius_walk(ctx, c1, c2, test):
     """Per row pair, the index into the cube-coset representatives of the
-    first v at which test is bad, or -1.  test must give the same verdict at
-    v and v^2 on rows whose coefficients are all 0 or 1: such rows walk only
+    first v at which test is bad, or -1.  c1 and c2 are 1-D int masks of 0/1
+    rows, or 2-D coefficient rows whose binary rows are packed into masks.
+    test must give the same verdict at v and v^2 on 0/1 rows: masks walk only
     the first member of each v -> v^2 orbit, and the first bad member is the
-    first bad representative of the full walk."""
+    first bad representative of the full walk.  The other rows walk every
+    representative."""
     _, v_all = _coset_reps(ctx)
     c1, c2 = np.asarray(c1, dtype=np.int64), np.asarray(c2, dtype=np.int64)
+    if c1.ndim == 1:
+        lead = _frobenius_leaders(ctx)
+        pos = _first_bad(ctx, c1, c2, v_all[lead], test)
+        return np.where(pos < 0, -1, lead[pos])
     binary = ((c1 <= 1) & (c2 <= 1)).all(axis=1)
-    lead = _frobenius_leaders(ctx)
     first = np.empty(len(c1), dtype=np.int64)
-    pos = _first_bad(ctx, c1[binary], c2[binary], v_all[lead], test)
-    first[binary] = np.where(pos < 0, -1, lead[pos])
+    first[binary] = _frobenius_walk(ctx, _packed(c1[binary]), _packed(c2[binary]), test)
     first[~binary] = _first_bad(ctx, c1[~binary], c2[~binary], v_all, test)
     return first
+
+
+def _packed(rows):
+    """The 0/1 coefficient rows (shape (B, n)) as int masks, bit k = c_k."""
+    return (rows << np.arange(rows.shape[1])).sum(axis=1)
 
 
 def form1_rank_scan(ctx, c1, c2):
@@ -247,9 +259,10 @@ def form1_rank_scan(ctx, c1, c2):
     representatives of the first a whose linearized derivative has rank
     != n - 1, or -1 when there is none: that candidate is APN.
 
-    The batched Form1 rank test; c1 and c2 have shape (B, n).  A row whose
-    coefficients are all 0 or 1 commutes with squaring, F(x^2) = F(x)^2, so
-    its rank at v equals its rank at v^2.
+    The batched Form1 rank test; c1 and c2 have shape (B, n), or they are B
+    int masks of 0/1 rows (bit k = c_k).  A row whose coefficients are all
+    0 or 1 commutes with squaring, F(x^2) = F(x)^2, so its rank at v equals
+    its rank at v^2.
     """
     return _frobenius_walk(ctx, c1, c2, _rank_test(ctx))
 
@@ -258,27 +271,29 @@ def _first_bad(ctx, c1, c2, vs, test):
     """Per row pair, the index of the first v in vs at which test is bad, or -1.
 
     test is (p, q, bad, pairs), p and q as logs: bad maps the _form1_cols of
-    a block at (p, q) to a (row, v) bool array.  Rows are taken WALK_PAIRS at
-    a time, and each slice walks vs in doubling blocks over its surviving
-    rows only, at most pairs (row, v) pairs a block.  The value tables of a
-    slice's rows are built once, and a block that refutes rows drops their
-    tables.  A slice whose L1 coefficients are all 0 or 1 is carried as
-    packed masks instead: apply_binary builds each block's tables over
-    whichever of its rows and points are fewer.  When every L2 row of a
-    slice is the same (the x^9 + L(x^3) shapes have L2(x) = x), it gets one
-    row of tables, whose term of _form1_cols broadcasts over the slice.
+    a block at (p, q) to a (row, v) bool array.  A slice of rows walks vs in
+    doubling blocks over its surviving rows only, at most pairs (row, v)
+    pairs a block after the first, and a block that refutes rows drops them.
+    1-D int masks walk as one slice and are applied by linmap.apply_binary
+    block by block.  2-D coefficient rows are taken WALK_PAIRS at a time,
+    and the value tables of a slice's rows are built once.  When every L2 row
+    of a slice is the same (the x^9 + L(x^3) shapes have L2(x) = x), it is
+    kept once, as one row of value tables, and its term of _form1_cols
+    broadcasts over the slice.
     """
     p, q, bad, pairs = test
     first = np.full(len(c1), -1, dtype=np.int64)
-    for lo in range(0, len(c1), WALK_PAIRS):
-        s1, s2 = c1[lo : lo + WALK_PAIRS], c2[lo : lo + WALK_PAIRS]
-        if s1.max(initial=0) <= 1:
-            m1 = (s1 << np.arange(ctx.n)).sum(axis=1)
-        else:
-            m1 = linmap.image_tables(linmap.basis_images(ctx, s1))
-        shared = (s2 == s2[0]).all()
-        m2 = linmap.image_tables(linmap.basis_images(ctx, s2[:1] if shared else s2))
-        alive = np.arange(len(s1))
+    step = max(1, len(c1)) if c1.ndim == 1 else WALK_PAIRS
+    for lo in range(0, len(c1), step):
+        m1, m2 = c1[lo : lo + step], c2[lo : lo + step]
+        shared = (m2 == m2[0]).all()
+        if shared:
+            m2 = m2[:1]
+        if c1.ndim == 2:
+            m1, m2 = (linmap.image_tables(linmap.basis_images(ctx, m)) for m in (m1, m2))
+        elif shared:
+            m2 = linmap.mask_tables(ctx, m2)
+        alive = np.arange(min(step, len(c1) - lo))
         start, width = 0, 1
         while alive.size and start < len(vs):
             width = min(width, max(1, pairs // alive.size), len(vs) - start)
@@ -423,23 +438,31 @@ def is_apn_tcondition(form: Form1) -> ApnVerdict:
 
 
 def parity_mask(c1, c2):
-    """Rows the parity filter rejects: binary rows whose coefficients sum to an even number."""
-    c = np.concatenate([np.asarray(c1), np.asarray(c2)], axis=1)
+    """Rows the parity filter rejects: binary rows whose coefficients sum to
+    an even number.  Masks (1-D ints) are binary rows, and the parity of
+    their sum is that of popcount(m1 ^ m2)."""
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    if c1.ndim == 1:
+        m = c1 ^ c2
+        return f2.parity(m, int(m.max(initial=0)).bit_length()) == 0
+    c = np.concatenate([c1, c2], axis=1)
     return (c <= 1).all(axis=1) & (c.sum(axis=1) % 2 == 0)
 
 
 def nonzero_scan(ctx, c1, c2):
     """Per row pair, the first cube-coset index j with F'(a_j) = L1(v_j) + L2(v_j^3) = 0,
-    or -1: Lemma 1 at the one point y = 1, where y^4+y^2+y = 1.  For 0/1 rows
-    L1(v^2) + L2(v^6) = (L1(v) + L2(v^3))^2, so the zero set is closed under
-    v -> v^2 and such rows walk the Frobenius leaders."""
+    or -1: Lemma 1 at the one point y = 1, where y^4+y^2+y = 1.  Rows as in
+    form1_rank_scan.  For 0/1 rows L1(v^2) + L2(v^6) = (L1(v) + L2(v^3))^2,
+    so the zero set is closed under v -> v^2 and such rows walk the
+    Frobenius leaders."""
     return _frobenius_walk(ctx, c1, c2, _lemma1_test(ctx, [1]))
 
 
 def beta_scan(ctx, c1):
-    """Per row of L1 coefficients, the first i with L1(beta v_i) = 0, or -1, for v_i the
-    cube-coset representatives and beta the first subfield-8 trace-zero element: Lemma 1
-    at the one point y = beta, where y^4+y^2+y = 0.
+    """Per row of L1 coefficients (or per 0/1 mask), the first i with
+    L1(beta v_i) = 0, or -1, for v_i the cube-coset representatives and beta
+    the first subfield-8 trace-zero element: Lemma 1 at the one point
+    y = beta, where y^4+y^2+y = 0.
 
     The filter's definition walks all three such beta_t, t-major, for the
     first t * k + i.  It needs n even and 3 | n, so 21 | 2^n - 1 and every

@@ -164,8 +164,12 @@ def gamma3_rank(F: VBF):
     return rank
 
 
+def _gamma3_supported(ctx):
+    return ctx.n <= 6
+
+
 def _check_gamma3_dim(ctx):
-    if ctx.n > 6:
+    if not _gamma3_supported(ctx):
         raise DimensionTooLarge("gamma3_rank is supported for n <= 6")
 
 
@@ -312,6 +316,8 @@ def _quadratic_profiles(funcs):
     """Profiles of quadratic functions on one field, without GF(3) ranks, and
     per function the ortho-derivative LUT of F + F(0) in the narrowest
     unsigned type, or None where a derivative image is not a hyperplane.
+    The LUTs are kept only where _add_gamma3 can read them (n <= 6): above,
+    every entry is None.
 
     Functions go PROFILE_CHUNK / 4^n at a time (at least one), and a chunk
     makes one call per kernel: _normals for the ortho-derivatives,
@@ -324,6 +330,7 @@ def _quadratic_profiles(funcs):
     ctx = funcs[0].ctx
     basis = 1 << np.arange(ctx.n, dtype=np.int64)
     step = max(1, PROFILE_CHUNK // (ctx.order * ctx.order))
+    keep = _gamma3_supported(ctx)
     profiles, orthos = [], []
     for lo in range(0, len(funcs), step):
         luts = np.stack([F.lut for F in funcs[lo : lo + step]])
@@ -338,7 +345,7 @@ def _quadratic_profiles(funcs):
             if not bad:
                 pi, p.ortho_diff_spectrum, p.ortho_walsh_spectrum = next(ortho)
             profiles.append(p)
-            orthos.append(pi)
+            orthos.append(pi if keep else None)
     return profiles, orthos
 
 
@@ -346,7 +353,7 @@ def _add_gamma3(funcs, profiles, orthos):
     """Fill in the GF(3) translate rank of each function with an
     ortho-derivative (see _quadratic_profiles), GAMMA3_NODES / 2^(2n+1) of
     them (at least one) per _gamma3_ranks call."""
-    apns = [i for i, pi in enumerate(orthos) if pi is not None]
+    apns = [i for i, p in enumerate(profiles) if p.ortho_diff_spectrum is not None]
     if not apns:
         return
     ctx = funcs[0].ctx
@@ -382,7 +389,7 @@ def classify(funcs):
     profiles, orthos = _quadratic_profiles(funcs)
     buckets = partition(funcs, profiles=profiles)
     unresolved = any(b["unresolved"] for b in buckets)
-    escalated = unresolved and funcs[0].ctx.n <= 6 and len(funcs) <= ESCALATE_LIMIT
+    escalated = unresolved and _gamma3_supported(funcs[0].ctx) and len(funcs) <= ESCALATE_LIMIT
     if escalated:
         _add_gamma3(funcs, profiles, orthos)
         buckets = partition(funcs, profiles=profiles)

@@ -4,7 +4,8 @@ Rows are ints, bit j = column j.  A row is read as one linear equation
 ``parity(row & x) = rhs`` over the unknown bit-vector x.  The scalar
 routines give ranks, reduced bases and kernels; the batch variants take
 numpy arrays of packed rows, one system per entry, and answer ranks,
-solvability and the one kernel vector of a system of corank 1.
+solvability and the one kernel vector of a system of corank 1; ``parity``
+gives the bit parity of each packed word of an array.
 """
 
 import numpy as np
@@ -103,10 +104,11 @@ def _pivots(mat, ncols):
     if ncols > 64:
         raise PreconditionViolated(f"batch_rank packs rows in 64 bits, got {ncols} columns")
     m = np.asarray(mat).T.astype(np.min_scalar_type((1 << ncols) - 1), order="C")
-    for _ in range(min(len(m), ncols)):
+    for k in range(min(len(m), ncols)):
+        if k:  # no update after the last pivot
+            np.minimum(m, m ^ top, out=m)
         top = m.max(axis=0)
         yield top
-        np.minimum(m, m ^ top, out=m)
 
 
 def batch_rank(mat, ncols):
@@ -124,9 +126,8 @@ def batch_kernel_vector(mat, ncols):
 
     The pivots of _pivots form an echelon basis.  The one column that leads
     no pivot is free: x takes it, then each pivot, lowest leading bit first,
-    sets its leading bit to the parity of the rest of the pivot with x, by
-    XOR-folding halves.  Leading bits are read as float exponents, exact for
-    ncols <= 53.
+    sets its leading bit to the parity of the rest of the pivot with x.
+    Leading bits are read as float exponents, exact for ncols <= 53.
     """
     if ncols > 53:
         raise PreconditionViolated(f"batch_kernel_vector needs ncols <= 53, got {ncols}")
@@ -135,13 +136,18 @@ def batch_kernel_vector(mat, ncols):
     lead = (np.int64(1) << np.frexp(tops)[1]) >> 1  # 0 for a zero pivot
     x = ((1 << ncols) - 1) ^ np.bitwise_or.reduce(lead, axis=0)
     x &= -x
-    folds = [1 << k for k in reversed(range((ncols - 1).bit_length()))]
     for top, bit in zip(tops[::-1], lead[::-1]):
-        v = top & x
-        for s in folds:
-            v ^= v >> s
-        x |= bit * (v & 1)
+        x |= bit * parity(top & x, ncols)
     return x, np.count_nonzero(tops, axis=0)
+
+
+def parity(words, nbits):
+    """Per entry of an int array of nbits-bit words, the parity of its set
+    bits, by XOR-folding halves (numpy >= 1.24 has no bitwise_count)."""
+    v = np.array(words)
+    for k in reversed(range((nbits - 1).bit_length())):
+        v ^= v >> (1 << k)
+    return v & 1
 
 
 def batch_solvable(rows, rhs, ncols):

@@ -168,8 +168,7 @@ def apply_binary(ctx, masks, points):
     masks, points = np.asarray(masks), np.asarray(points)
     n = ctx.n
     if len(masks) < points.size:
-        bits = (masks[:, None] >> np.arange(n)) & 1
-        return apply_tables(image_tables(basis_images(ctx, bits)), points)
+        return apply_tables(mask_tables(ctx, masks), points)
     h, square = (n + 1) // 2, ctx.pow_table(2)
     frob = np.empty((n, points.size), dtype=np.min_scalar_type(ctx.order - 1))
     frob[0] = points.ravel()
@@ -178,6 +177,12 @@ def apply_binary(ctx, masks, points):
     low, high = _doubled_rows(frob[:h]), _doubled_rows(frob[h:])
     out = np.take(low, masks & ((1 << h) - 1), axis=0) ^ np.take(high, masks >> h, axis=0)
     return out.reshape(masks.shape + points.shape)
+
+
+def mask_tables(ctx, masks):
+    """The image_tables of the maps whose 0/1 coefficients are packed in the int masks, bit k = c_k."""
+    bits = (np.asarray(masks)[:, None] >> np.arange(ctx.n)) & 1
+    return image_tables(basis_images(ctx, bits))
 
 
 def _doubled_rows(images):

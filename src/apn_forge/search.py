@@ -130,45 +130,66 @@ def _int_at_least(value, low):
 
 
 def _coeff_rows(job: SearchJob, ctx, indices):
-    """Coefficient rows (c1, c2), each of shape (len(indices), n), of the candidates indices."""
+    """The candidates indices as (c1, c2).  The binary shapes give 1-D int
+    masks of their 0/1 coefficients, bit k = c_k: x9_plus_L_binary the index
+    and L2(x) = x, form1_binary the low and high n bits of the index.  The
+    other shapes give coefficient rows of shape (len(indices), n)."""
     n = ctx.n
-    idx = np.asarray(indices, dtype=np.int64)[:, None]
-    shifts = np.arange(n, dtype=np.int64)
+    idx = np.asarray(indices, dtype=np.int64)
     if job.shape == "form1_binary":
-        return (idx >> shifts) & 1, (idx >> (n + shifts)) & 1
-    if job.shape == "form1_random":
-        coeffs = rng_values(job.seed, idx[:, 0], 2 * n, ctx.order)
-        return coeffs[:, :n], coeffs[:, n:]
+        return idx & (ctx.order - 1), idx >> n
     if job.shape == "x9_plus_L_binary":
-        c1 = (idx >> shifts) & 1
-    elif job.sample_count is None:
-        c1 = (idx >> (n * shifts)) & (ctx.order - 1)
+        return idx, np.ones_like(idx)  # L2(x) = x
+    if job.shape == "form1_random":
+        coeffs = rng_values(job.seed, idx, 2 * n, ctx.order)
+        return coeffs[:, :n], coeffs[:, n:]
+    shifts = np.arange(n, dtype=np.int64)
+    if job.sample_count is None:
+        c1 = (idx[:, None] >> (n * shifts)) & (ctx.order - 1)
     else:
-        c1 = rng_values(job.seed, idx[:, 0], n, ctx.order)
+        c1 = rng_values(job.seed, idx, n, ctx.order)
     return c1, np.broadcast_to(shifts == 0, c1.shape).astype(np.int64)  # L2(x) = x
+
+
+def _hex_lists(ctx, c):
+    """The hex coefficient list of each candidate of one side c of _coeff_rows:
+    a mask's bits are its coefficients, so its list is its binary digits,
+    lowest first."""
+    if c.ndim == 1:
+        return [list(format(m, f"0{ctx.n}b")[::-1]) for m in c.tolist()]
+    return [[format(v, "x") for v in row] for row in c.tolist()]
 
 
 def _candidate_batches(job: SearchJob, ctx, indices, size=apn.WALK_PAIRS):
     """(indices, c1, c2, hexes) per size candidates of indices: the
-    coefficient rows and, per candidate, the hex coefficient lists the records
+    _coeff_rows and, per candidate, the hex coefficient lists the records
     show: [L] or [L1, L2]."""
     for lo in range(0, len(indices), size):
         idx = indices[lo : lo + size]
         c1, c2 = _coeff_rows(job, ctx, idx)
-        shown = zip(c1.tolist()) if job.shape.startswith("x9") else zip(c1.tolist(), c2.tolist())
-        yield idx, c1, c2, [[[format(c, "x") for c in row] for row in rows] for rows in shown]
+        sides = (c1,) if job.shape.startswith("x9") else (c1, c2)
+        yield idx, c1, c2, list(zip(*(_hex_lists(ctx, c) for c in sides)))
 
 
 def _candidates(job: SearchJob, ctx, indices):
-    """(index, c1, c2, hex) per candidate of indices, with c1 and c2 as lists."""
+    """(index, c1, c2, hex) per candidate of indices, with c1 and c2 as masks
+    (binary shapes) or lists."""
     for idx, c1, c2, hexes in _candidate_batches(job, ctx, indices):
         yield from zip(idx.tolist(), c1.tolist(), c2.tolist(), hexes)
 
 
 def _form1_luts(ctx, c1, c2):
-    """LUTs of L1(x^3) + L2(x^9) for each row of coefficient rows (c1, c2),
-    equal to the Form1's realize()."""
-    l1, l2 = (f2.expand_linear(linmap.basis_images(ctx, c)) for c in (c1, c2))
+    """LUTs of L1(x^3) + L2(x^9) for each candidate of (c1, c2), masks or
+    coefficient rows as _coeff_rows gives them, equal to the Form1's
+    realize()."""
+    basis = 1 << np.arange(ctx.n, dtype=np.int64)
+
+    def table(c):
+        c = np.asarray(c)
+        images = linmap.apply_binary(ctx, c, basis).astype(np.int64) if c.ndim == 1 else linmap.basis_images(ctx, c)
+        return f2.expand_linear(images)
+
+    l1, l2 = table(c1), table(c2)
     return np.take(l1, ctx.pow_table(3), axis=1) ^ np.take(l2, ctx.pow_table(9), axis=1)
 
 
@@ -207,8 +228,10 @@ def _record_line(job: SearchJob, ctx, hexes, verdict, profile_dict):
 def _run_range(job: SearchJob, bounds):
     ctx = job.ctx()
     idx = np.arange(*bounds)
-    # one walk's rows at a time bounds the memory
-    rows = (_coeff_rows(job, ctx, idx[s : s + apn.WALK_PAIRS]) for s in range(0, len(idx), apn.WALK_PAIRS))
+    # Masks take the whole range in one walk; coefficient rows go one walk
+    # slice at a time, which bounds the memory of their decoding.
+    step = len(idx) if job.shape.endswith("_binary") else apn.WALK_PAIRS
+    rows = (_coeff_rows(job, ctx, idx[s : s + step]) for s in range(0, len(idx), step))
     return np.concatenate([_classify_rows(job, ctx, c1, c2) for c1, c2 in rows])
 
 
@@ -264,8 +287,9 @@ def run(job: SearchJob, out_path=None, workers=1):
     every a above; InternalCheckFailed on a refuted hit), classify up to
     PROFILE_HIT_LIMIT hits at n <= 10, write the records
     (sorted JSON lines) to out_path when given.  Records and the summary's
-    hit text ("L" or "L1;L2") are built from the coefficient rows, decoded a
-    batch at a time; of a hit only its hex coefficient lists are kept.
+    hit text ("L" or "L1;L2") are built from the candidates as _coeff_rows
+    decodes them (masks for the binary shapes), a batch at a time; of a hit
+    only its hex coefficient lists are kept.
     Worker count never changes the output: ranges are merged in index order
     and lines sorted.
     """

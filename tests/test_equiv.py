@@ -65,6 +65,13 @@ def test_rank_dimension_guard():
         equiv.profile(F7, with_gamma3=True)
 
 
+def test_ortho_derivative_luts_are_kept_only_where_gamma3_reads_them():
+    for n in (6, 7):
+        profiles, orthos = equiv._quadratic_profiles([power_map(mk_field(n), 3)])
+        assert profiles[0].ortho_diff_spectrum is not None
+        assert (orthos[0] is None) == (n > 6)
+
+
 def test_gamma_rank_separates_n6_classes():
     # distinct gamma ranks certify CCZ-inequivalence of the two catalogued
     # n=6 classes (frozen regression values)
@@ -179,8 +186,8 @@ def _classify_agrees_with_profile(funcs):
 
 def test_batched_and_single_function_classification_agree(ctx5, ctx6):
     job = search.SearchJob(field="n=5", shape="x9_plus_L_binary")
-    forms = [Form1(LinearizedPoly(ctx5, c1), LinearizedPoly(ctx5, c2))
-             for _, c1, c2, _ in search._candidates(job, ctx5, np.arange(32))]
+    forms = [Form1(linmap.from_mask(ctx5, m1), linmap.from_mask(ctx5, m2))
+             for _, m1, m2, _ in search._candidates(job, ctx5, np.arange(32))]
     hits = [form.realize() for form in forms if apn.is_apn_quadratic(form).is_apn]
     assert len(hits) == 15
     profiles, escalated = _classify_agrees_with_profile(hits)

@@ -466,6 +466,109 @@ def test_form1_rank_scan_across_slices_with_and_without_a_shared_l2():
 
 
 @st.composite
+def mask_batches(draw, ns=st.integers(3, 14)):
+    """(ctx, m1, m2): 0/1 rows at n = 3..14 as int masks, with one L2 mask
+    shared by every row or one L2 mask per row (not all equal), fewer rows
+    than WALK_PAIRS or more (drawn from a small pool), and the zero and
+    all-ones masks on both sides."""
+    n = draw(ns)
+    ctx = mk_field(n)
+    top = ctx.order - 1
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(lambda ks: sum(1 << k for k in ks))
+    pool = draw(st.lists(st.one_of(sparse, st.integers(0, top)), min_size=1, max_size=8)) + [0, top]
+    size = draw(st.sampled_from([draw(st.integers(1, 6)), apn.WALK_PAIRS + draw(st.integers(1, 300))]))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+    m1 = np.concatenate([[0, top, 0, top], rng.choice(pool, size=size)])
+    if draw(st.booleans()):
+        m2 = np.full(len(m1), draw(st.sampled_from([0, 1, top] + pool)))
+    else:
+        m2 = np.concatenate([[0, top, top, 0], rng.choice(pool, size=size)])
+    return ctx, m1.astype(np.int64), m2.astype(np.int64)
+
+
+def _mask_example(n, size, shared):
+    """A fixed mask_batches batch: random masks with the zero and all-ones ones first."""
+    ctx = mk_field(n)
+    rng = np.random.default_rng(n + size)
+    ends = [0, ctx.order - 1]
+    m1 = np.r_[ends, rng.integers(0, ctx.order, size=size)]
+    m2 = np.full(len(m1), 1) if shared else np.r_[ends[::-1], rng.integers(0, ctx.order, size=size)]
+    return ctx, m1, m2
+
+
+def _bits(ctx, masks):
+    return (masks[:, None] >> np.arange(ctx.n)) & 1
+
+
+def _table_walk(ctx, c1, c2, test):
+    """The first bad representative per row by the walk of 2-D coefficient
+    rows over every representative, with no masks and no Frobenius leaders."""
+    return apn._first_bad(ctx, c1, c2, apn._coset_reps(ctx)[1], test)
+
+
+@pytest.mark.parametrize("scan", ["rank", "nonzero"])
+@PROPERTY
+@given(batch=mask_batches())
+@example(batch=_mask_example(14, apn.WALK_PAIRS + 100, shared=True))
+@example(batch=_mask_example(13, apn.WALK_PAIRS + 7, shared=False))
+@example(batch=_mask_example(14, 6, shared=False))
+def test_frobenius_scans_of_masks_match_coefficient_rows(scan, batch):
+    ctx, m1, m2 = batch
+    run, test = {
+        "rank": (apn.form1_rank_scan, apn._rank_test(ctx)),
+        "nonzero": (apn.nonzero_scan, apn._lemma1_test(ctx, [1])),
+    }[scan]
+    c1, c2 = _bits(ctx, m1), _bits(ctx, m2)
+    first = run(ctx, m1, m2)
+    assert first.tolist() == run(ctx, c1, c2).tolist() == _table_walk(ctx, c1, c2, test).tolist()
+
+
+@PROPERTY
+@given(mask_batches(st.sampled_from([3, 6, 9, 12])))
+@example(_mask_example(12, apn.WALK_PAIRS + 50, shared=False))
+def test_beta_scan_of_masks_matches_coefficient_rows(batch):
+    ctx, m1, _ = batch
+    c1 = _bits(ctx, m1)
+    test = apn._lemma1_test(ctx, apn._subfield8_trace_zero(ctx)[:1])
+    want = _table_walk(ctx, c1, np.zeros_like(c1), test).tolist()
+    assert apn.beta_scan(ctx, m1).tolist() == apn.beta_scan(ctx, c1).tolist() == want
+
+
+@PROPERTY
+@given(mask_batches())
+@example(_mask_example(14, apn.WALK_PAIRS + 100, shared=False))
+@example(_mask_example(13, 6, shared=True))
+def test_parity_filter_of_masks_matches_coefficient_rows(batch):
+    ctx, m1, m2 = batch
+    even = [(bin(a).count("1") + bin(b).count("1")) % 2 == 0 for a, b in zip(m1.tolist(), m2.tolist())]
+    assert apn.parity_mask(m1, m2).tolist() == apn.parity_mask(_bits(ctx, m1), _bits(ctx, m2)).tolist() == even
+
+
+@pytest.mark.parametrize("shape, n", [("x9_plus_L_binary", 3), ("x9_plus_L_binary", 11), ("form1_binary", 3), ("form1_binary", 7)])
+def test_binary_candidates_round_trip_through_their_hex_text(shape, n):
+    # index -> masks -> record text -> coefficients -> index, and the masks' LUTs are the forms' tables
+    ctx = mk_field(n)
+    job = search.SearchJob(field=f"n={n}", shape=shape)
+    total = job.total_candidates()
+    indices = np.unique(np.r_[0, 1, total - 1, np.random.default_rng(n).integers(0, total, size=40)])
+    seen = []
+    for idx, m1, m2, hexes in search._candidate_batches(job, ctx, indices, size=16):
+        for i, a, b, text in zip(idx.tolist(), m1.tolist(), m2.tolist(), hexes):
+            coeffs = [[int(h, 16) for h in side] for side in text]
+            assert [len(c) for c in coeffs] == [n] * len(text) and max(map(max, coeffs)) <= 1
+            masks = [sum(c << k for k, c in enumerate(side)) for side in coeffs]
+            assert masks == ([a] if shape.startswith("x9") else [a, b])
+            assert i == (a if shape.startswith("x9") else a | b << n)
+            assert b == 1 or not shape.startswith("x9")
+            assert [",".join(side) for side in text] == [linmap.from_mask(ctx, m).to_text() for m in masks]
+            seen.append(i)
+        luts = search._form1_luts(ctx, m1, m2)
+        forms = [Form1(linmap.from_mask(ctx, a), linmap.from_mask(ctx, b)) for a, b in zip(m1.tolist(), m2.tolist())]
+        assert luts.dtype == np.int64 and luts.tolist() == [f.realize().lut.tolist() for f in forms]
+    assert seen == indices.tolist()
+
+
+@st.composite
 def form1s_by_l2_rank(draw):
     """Form1 at n = 4..10 with L1 binary or random, and L2 invertible,
     rank-deficient (a map composed with x^2 + x) or zero."""
