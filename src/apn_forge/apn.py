@@ -213,6 +213,17 @@ def _lemma1_all_y(ctx):
     return ys, _lemma1_test(ctx, ys)
 
 
+def _orbit_minima(perm, n):
+    """The least index of each orbit of the index permutation perm, ascending;
+    every orbit has at most n members.  An index stays while it is at most
+    each of its images perm^k(i) so far, k < n."""
+    least, member = np.arange(len(perm)), perm
+    for _ in range(n - 1):
+        keep = least <= member
+        least, member = least[keep], perm[member[keep]]
+    return least
+
+
 @cache
 def _frobenius_leaders(ctx):
     """Indices into the cube-coset representatives of the first member of each
@@ -220,12 +231,16 @@ def _frobenius_leaders(ctx):
     _, v_all = _coset_reps(ctx)
     index = np.zeros(ctx.order, dtype=np.int64)
     index[v_all] = np.arange(len(v_all))
-    square = index[ctx.pow_table(2)[v_all]]  # v^2 is again a cube, so it has an index
-    member = first = np.arange(len(v_all))
-    for _ in range(ctx.n - 1):  # an orbit has at most n members
-        member = square[member]
-        first = np.minimum(first, member)
-    return np.nonzero(first == np.arange(len(v_all)))[0]
+    # v^2 is again a cube, so it has an index
+    return _orbit_minima(index[ctx.pow_table(2)[v_all]], ctx.n)
+
+
+@cache
+def _square_orbit_minima(ctx):
+    """The least a of each orbit of a -> a^2 on the nonzero a, ascending (cached: read only)."""
+    minima = _orbit_minima(ctx.pow_table(2), ctx.n)[1:]
+    minima.setflags(write=False)
+    return minima
 
 
 def _frobenius_walk(ctx, c1, c2, test):
@@ -271,15 +286,19 @@ def _first_bad(ctx, c1, c2, vs, test):
     """Per row pair, the index of the first v in vs at which test is bad, or -1.
 
     test is (p, q, bad, pairs), p and q as logs: bad maps the _form1_cols of
-    a block at (p, q) to a (row, v) bool array.  A slice of rows walks vs in
-    doubling blocks over its surviving rows only, at most pairs (row, v)
-    pairs a block after the first, and a block that refutes rows drops them.
-    1-D int masks walk as one slice and are applied by linmap.apply_binary
-    block by block.  2-D coefficient rows are taken WALK_PAIRS at a time,
-    and the value tables of a slice's rows are built once.  When every L2 row
-    of a slice is the same (the x^9 + L(x^3) shapes have L2(x) = x), it is
-    kept once, as one row of value tables, and its term of _form1_cols
-    broadcasts over the slice.
+    a block at (p, q) to a (row, v) bool array.  A slice of R rows walks vs
+    in blocks over its surviving rows only, and a block that refutes rows
+    drops them.  Block k is sized by its pair budget min(pairs, R * 2^k):
+    its width is that budget over the surviving rows (at least one v).  So
+    the blocks double while no row drops, a single row walks widths 1, 2,
+    4, .., and a few survivors of a large slice take one or two wide blocks.
+    A block after the first holds at most pairs (row, v) pairs unless more
+    than pairs rows survive, when it is one v wide.  1-D int masks walk as
+    one slice and are applied by linmap.apply_binary block by block.  2-D
+    coefficient rows are taken WALK_PAIRS at a time, and the value tables of
+    a slice's rows are built once.  When every L2 row of a slice is the same
+    (the x^9 + L(x^3) shapes have L2(x) = x), it is kept once, as one row of
+    value tables, and its term of _form1_cols broadcasts over the slice.
     """
     p, q, bad, pairs = test
     first = np.full(len(c1), -1, dtype=np.int64)
@@ -294,9 +313,9 @@ def _first_bad(ctx, c1, c2, vs, test):
         elif shared:
             m2 = linmap.mask_tables(ctx, m2)
         alive = np.arange(min(step, len(c1) - lo))
-        start, width = 0, 1
+        start, target = 0, alive.size
         while alive.size and start < len(vs):
-            width = min(width, max(1, pairs // alive.size), len(vs) - start)
+            width = min(max(1, min(target, pairs) // alive.size), len(vs) - start)
             block = bad(_form1_cols(ctx, m1, m2, vs[start : start + width], p, q))
             hit = block.any(axis=1)
             if hit.any():
@@ -305,7 +324,7 @@ def _first_bad(ctx, c1, c2, vs, test):
                 m1 = _rows(m1, ~hit)
                 m2 = m2 if shared else _rows(m2, ~hit)
             start += width
-            width *= 2
+            target *= 2
     return first
 
 
@@ -319,42 +338,66 @@ def is_apn_quadratic(F) -> ApnVerdict:
     """Kernel test of the linearized derivative; accepts a VBF or a Form1.
 
     APN iff for every a != 0 the map x -> F(x+a)+F(x)+F(a)+F(0) has kernel
-    exactly {0, a}.  Form1 inputs are walked per cube coset.
+    exactly {0, a}.  Form1 inputs are walked per cube coset; a VBF that
+    commutes with squaring is walked on one a per orbit of a -> a^2, and the
+    witness's a is the first bad a either way.
     """
     if isinstance(F, Form1):
         return _apn_quadratic_form1(F)
     if F.algebraic_degree() > 2:
         raise NotQuadratic("input has algebraic degree > 2")
-    a = int(_quadratic_first_bad(F.lut[None])[0])
+    a = int(_quadratic_first_bad(F.ctx, F.lut[None])[0])
     if a:
         cols = bilinear_table(F.lut, [a])[0]
         return ApnVerdict(False, _mk_witness(F, a, _kernel_extra(cols, F.ctx.n, a)), "quadratic")
     return ApnVerdict(True, None, "quadratic")
 
 
-def _quadratic_first_bad(luts):
-    """Per LUT of a batch of quadratic functions (shape (B, 2^n)), the first
-    a != 0 whose linearized derivative does not have rank n - 1, or 0.  A
-    block holds about _CHUNK (LUT, a) pairs; a refuted LUT leaves the walk."""
+def _quadratic_first_bad(ctx, luts):
+    """Per LUT of a batch of quadratic functions over ctx (shape (B, 2^n)),
+    the first a != 0 whose linearized derivative does not have rank n - 1,
+    or 0.
+
+    A LUT with F(x^2) = F(x)^2 at every x (so F(0) is 0 or 1) has
+    D_(a^2) at x^2 equal to the square of D_a at x, so its rank at a^2 is its
+    rank at a and its bad a are whole orbits of a -> a^2: it walks only the
+    least a of each orbit, ascending, and the first of those that is bad is
+    its first bad a.  The other LUTs walk every a."""
+    square = ctx.pow_table(2)
+    commutes = (luts[:, square] == square[luts]).all(axis=1)
+    first = np.zeros(len(luts), dtype=np.int64)
+    if commutes.any():
+        first[commutes] = _kernel_walk(luts[commutes], _square_orbit_minima(ctx))
+    if not commutes.all():
+        first[~commutes] = _kernel_walk(luts[~commutes], np.arange(1, ctx.order))
+    return first
+
+
+def _kernel_walk(luts, points):
+    """Per LUT (at least one), the first a of the ascending points whose
+    linearized derivative does not have rank n - 1, or 0.  A block holds
+    about _CHUNK (LUT, a) pairs; a refuted LUT leaves the walk."""
     n = luts.shape[-1].bit_length() - 1
     first = np.zeros(len(luts), dtype=np.int64)
     alive = np.arange(len(luts))
     step = max(1, _CHUNK // len(luts))
-    for start in range(1, 1 << n, step):
-        block = bilinear_table(luts[alive], np.arange(start, min(start + step, 1 << n)))
+    for start in range(0, len(points), step):
+        a = points[start : start + step]
+        block = bilinear_table(luts[alive], a)
         bad = (f2.batch_rank(block.reshape(-1, n), n) != n - 1).reshape(len(alive), -1)
         hit = bad.any(axis=1)
-        first[alive[hit]] = start + bad[hit].argmax(axis=1)
+        first[alive[hit]] = a[bad[hit].argmax(axis=1)]
         alive = alive[~hit]
         if not alive.size:
             break
     return first
 
 
-def batch_is_apn_quadratic(luts):
-    """Per LUT of a batch of quadratic functions (shape (B, 2^n)), whether it
-    is APN by the kernel test of is_apn_quadratic; no witness."""
-    return _quadratic_first_bad(np.asarray(luts)) == 0
+def batch_is_apn_quadratic(ctx, luts):
+    """Per LUT of a batch of quadratic functions over ctx (shape (B, 2^n)),
+    whether it is APN by the kernel test of is_apn_quadratic, on one a per
+    orbit of a -> a^2 for the LUTs that commute with squaring; no witness."""
+    return _quadratic_first_bad(ctx, np.asarray(luts)) == 0
 
 
 def _cols_at(form: Form1, i, test):

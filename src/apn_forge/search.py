@@ -7,6 +7,7 @@ before writing, so reruns and different worker counts produce identical
 bytes.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -283,10 +284,11 @@ def run(job: SearchJob, out_path=None, workers=1):
 
     Scan in batches (filters, then the Form1 rank kernel; no witnesses),
     re-verify the hits on their realized tables, DDT_BLOCK table entries at a
-    time (the batched naive count at n <= 8, the batched quadratic test over
-    every a above; InternalCheckFailed on a refuted hit), classify up to
-    PROFILE_HIT_LIMIT hits at n <= 10, write the records
-    (sorted JSON lines) to out_path when given.  Records and the summary's
+    time (the batched naive count at n <= 8, the batched quadratic test
+    above, on one a per orbit of a -> a^2 for the hits that commute with
+    squaring, as 0/1 coefficients do; InternalCheckFailed on a refuted
+    hit), classify up to PROFILE_HIT_LIMIT hits at n <= 10, write the
+    records (sorted JSON lines) to out_path when given.  Records and the summary's
     hit text ("L" or "L1;L2") are built from the candidates as _coeff_rows
     decodes them (masks for the binary shapes), a batch at a time; of a hit
     only its hex coefficient lists are kept.
@@ -301,7 +303,7 @@ def run(job: SearchJob, out_path=None, workers=1):
     verdict_counts = {v: int(c) for v, c in zip(VERDICTS, counts) if c}
 
     profiling = 0 < counts[APN] <= PROFILE_HIT_LIMIT and ctx.n <= 10
-    verify = apn.batch_is_apn_naive if ctx.n <= 8 else apn.batch_is_apn_quadratic
+    verify = apn.batch_is_apn_naive if ctx.n <= 8 else functools.partial(apn.batch_is_apn_quadratic, ctx)
     hits = {}
     funcs = []
     batch = max(1, DDT_BLOCK // ctx.order)  # larger batches ran slower at n = 8

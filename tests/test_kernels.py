@@ -289,7 +289,7 @@ def binary_form1_batches(draw):
     and the masks 0 and 1."""
     n = draw(st.integers(3, 12))
     ctx = mk_field(n)
-    sparse = st.lists(st.integers(0, n - 1), max_size=3).map(lambda ks: sum(1 << k for k in ks))
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(lambda ks: sum(1 << k for k in ks))
     mask = st.one_of(sparse, st.integers(0, ctx.order - 1), st.sampled_from([1, 0]))
     rows = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6))
     return _batch_of(*(Form1(linmap.from_mask(ctx, a), linmap.from_mask(ctx, b)) for a, b in rows))
@@ -319,6 +319,22 @@ def test_frobenius_leaders_cover_each_orbit_once(n):
         assert min(orbit) == i and not orbit & seen
         seen |= orbit
     assert seen == set(range(len(v_all)))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_square_orbit_minima_cover_each_orbit_once(n):
+    ctx = mk_field(n)
+    seen = set()
+    minima = apn._square_orbit_minima(ctx).tolist()
+    assert minima == sorted(minima)
+    for a in minima:
+        orbit, x = set(), a
+        while x not in orbit:
+            orbit.add(x)
+            x = ctx.mul(x, x)
+        assert min(orbit) == a and not orbit & seen
+        seen |= orbit
+    assert seen == set(range(1, ctx.order))
 
 
 @pytest.mark.parametrize("n", [5, 6, 8])
@@ -1003,18 +1019,125 @@ def test_batched_reverification_matches_the_naive_oracle(n, data):
     verdicts = [apn.is_apn_naive(F) for F in funcs]
     naive = [v.is_apn for v in verdicts]
     assert apn.batch_is_apn_naive(luts).tolist() == naive
-    assert apn.batch_is_apn_quadratic(luts).tolist() == naive
+    assert apn.batch_is_apn_quadratic(ctx, luts).tolist() == naive
     with mock.patch.object(apn, "DDT_BLOCK", data.draw(st.integers(1, 1 << 12))):
         assert apn.batch_is_apn_naive(luts).tolist() == naive
     # blocks of a few directions: LUTs leave the kernel walk at their first bad a
     with mock.patch.object(apn, "_CHUNK", data.draw(st.integers(1, 64))):
-        assert apn.batch_is_apn_quadratic(luts).tolist() == naive
+        assert apn.batch_is_apn_quadratic(ctx, luts).tolist() == naive
         for F, v in zip(funcs, verdicts):
             w = apn.is_apn_quadratic(F).witness
             assert (w and w.a) == (v.witness and v.witness.a)
     if n <= 6:
         tables = np.array(data.draw(st.lists(elements(n, 1 << n), min_size=1, max_size=3)))
         assert apn.batch_is_apn_naive(tables).tolist() == [apn.is_apn_naive(VBF(ctx, t)).is_apn for t in tables]
+
+
+def _reference_quadratic_first_bad(ctx, luts):
+    """The first a != 0 with rank(D_a F) != n - 1 per LUT, or 0: batch_rank at every a."""
+    a = np.arange(1, ctx.order)
+    first = []
+    for lut in luts:
+        bad = f2.batch_rank(bilinear_table(lut, a), ctx.n) != ctx.n - 1
+        first.append(int(a[bad.argmax()]) if bad.any() else 0)
+    return first
+
+
+@st.composite
+def quadratic_batches(draw, n):
+    """(ctx, funcs, commuting): LUTs at n that commute with squaring
+    (x^(2^i+1), realized binary Form1s, APN or not) mixed with ones that in
+    general do not (EA transforms of either, random Form1s)."""
+    ctx = mk_field(n)
+    sparse = st.sets(st.integers(0, n - 1), max_size=3).map(lambda ks: sum(1 << k for k in ks))
+    mask = st.one_of(st.sampled_from([0, 1]), sparse, st.integers(0, ctx.order - 1))
+    golds = [vbf.power_map(ctx, (1 << i) + 1) for i in draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2))]
+    binary = [Form1(linmap.from_mask(ctx, a), linmap.from_mask(ctx, b)).realize()
+              for a, b in draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=3)) + [(0, 1)]]
+    commuting = golds + binary
+    seeds = draw(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=3))
+    ea = [equiv.random_ea_transform(commuting[s % len(commuting)], random.Random(s)) for s in seeds]
+    forms = [Form1(LinearizedPoly(ctx, c1), LinearizedPoly(ctx, c2)).realize()
+             for c1, c2 in draw(st.lists(st.tuples(elements(n, n), elements(n, n)), min_size=1, max_size=2))]
+    order = draw(st.permutations(range(len(commuting) + len(ea) + len(forms))))
+    funcs = [(commuting + ea + forms)[i] for i in order]
+    return ctx, funcs, [i < len(commuting) for i in order]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@settings(PROPERTY, max_examples=5)
+@given(data=st.data())
+def test_quadratic_reverification_on_orbit_minima_matches_every_a(n, data):
+    # blocks of 1..64 directions, so the orbit minima of a commuting LUT span many blocks
+    ctx, funcs, commuting = data.draw(quadratic_batches(n))
+    square = ctx.pow_table(2)
+    assert all(np.array_equal(F.lut[square], square[F.lut]) for F, c in zip(funcs, commuting) if c)
+    luts = np.stack([F.lut for F in funcs])
+    naive = apn.batch_is_apn_naive(luts).tolist()
+    want = _reference_quadratic_first_bad(ctx, luts)
+    assert [a == 0 for a in want] == naive
+    with mock.patch.object(apn, "_CHUNK", data.draw(st.integers(1, 64))):
+        assert apn.batch_is_apn_quadratic(ctx, luts).tolist() == naive
+        assert apn._quadratic_first_bad(ctx, luts).tolist() == want
+        # one LUT at a time, as is_apn_quadratic walks it: the witness's a is the first bad a
+        for F, a in zip(funcs, want):
+            w = apn.is_apn_quadratic(F).witness
+            assert (w.a if w else 0) == a
+            assert apn._quadratic_first_bad(ctx, F.lut[None]).tolist() == [a]
+
+
+def _spied_blocks(ctx, c1, c2, vs, test):
+    """_first_bad's result and, per slice of rows, the (rows, width, start) of
+    each block, read by a spy on test's bad."""
+    p, q, bad, pairs = test
+    slices, state = [], {"start": len(vs), "alive": 0}
+
+    def spy(cols):
+        out = bad(cols)
+        rows, width = out.shape
+        if not state["alive"] or state["start"] >= len(vs):  # the last slice is done
+            slices.append([])
+            state["start"] = 0
+        slices[-1].append((rows, width, state["start"]))
+        state["start"] += width
+        state["alive"] = rows - int(out.any(axis=1).sum())
+        return out
+
+    return apn._first_bad(ctx, c1, c2, vs, (p, q, spy, pairs)), slices
+
+
+@pytest.mark.parametrize("size", [1, 7, apn.WALK_PAIRS - 3, apn.WALK_PAIRS + 300])
+@pytest.mark.parametrize("masks", [True, False])
+def test_walk_blocks_after_the_first_hold_at_most_the_pair_budget(size, masks):
+    # masks at n = 13 on the Frobenius leaders, 2-D rows at n = 12 on every
+    # representative; x^3 and x^9 rows (APN at n = 13) and Gold rows survive the walk
+    n = 13 if masks else 12
+    ctx = mk_field(n)
+    rng = np.random.default_rng(size)
+    _, v_all = apn._coset_reps(ctx)
+    if masks:
+        c1 = np.r_[1, 0, rng.integers(0, ctx.order, size=size)][:size]
+        c2 = np.r_[0, 1, rng.integers(0, ctx.order, size=size)][:size]
+        vs = v_all[apn._frobenius_leaders(ctx)]
+        tests = [apn._rank_test(ctx), apn._lemma1_test(ctx, [1])]
+    else:
+        c1, c2 = rng.integers(0, ctx.order, size=(2, size, n))
+        c1[::97], c2[::97] = np.eye(1, n, dtype=np.int64), 0
+        vs = v_all
+        tests = [apn._rank_test(ctx)]
+    for test in tests:
+        pairs = test[3]
+        first, slices = _spied_blocks(ctx, c1, c2, vs, test)
+        assert first.tolist() == apn._first_bad(ctx, c1, c2, vs, test).tolist()
+        assert sum(rows for blocks in slices for rows, _, _ in blocks[:1]) == size
+        for blocks in slices:
+            slice_rows = blocks[0][0]
+            for k, (rows, width, start) in enumerate(blocks):
+                # block k fills its budget min(pairs, R 2^k) over the surviving rows, at least one v
+                assert width == min(max(1, min(pairs, slice_rows << k) // rows), len(vs) - start)
+                if k:
+                    assert rows * width <= pairs or (width == 1 and rows > pairs)
+            assert blocks[0][1] == 1
 
 
 @PROPERTY
